@@ -184,8 +184,10 @@ class FaultEngine:
     def _count_injected(self, kind: str, msg) -> None:
         self._c_injected[kind].inc()
         if self.obs.enabled:
+            # info = the transport's per-route id of the message.
             self.obs.emit(
-                f"fault.{kind}", msg.src, key=(msg.src, msg.dst), info=msg.msg_id
+                f"fault.{kind}", msg.src, key=(msg.src, msg.dst),
+                info=(msg.channel, msg.seq),
             )
 
     def count_recovered(self, kind: str) -> None:

@@ -3,13 +3,10 @@
 from __future__ import annotations
 
 import enum
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 __all__ = ["MessageClass", "WireMessage"]
-
-_msg_ids = itertools.count()
 
 
 class MessageClass(enum.IntEnum):
@@ -39,7 +36,6 @@ class WireMessage:
     payload: Any = None
     #: Library-level channel discriminator (e.g. "mpi", "lci").
     channel: str = ""
-    msg_id: int = field(default_factory=lambda: next(_msg_ids))
     #: Stamped by the fabric: injection time, NIC tail-departure time, and
     #: delivery time at the destination.
     inject_time: float = -1.0

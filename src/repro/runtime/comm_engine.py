@@ -46,15 +46,6 @@ TAG_PUT_COMPLETE = 3
 AmCallback = Callable[..., Generator]
 OnesidedCallback = Callable[..., Generator]
 
-_put_tags = itertools.count(1000)
-
-
-def next_data_tag() -> int:
-    """A fresh wire tag for one put's data transfer.  Unique per origin while
-    in flight (the (origin, tag) tuple disambiguates at the target, §5.3.3)."""
-    return next(_put_tags)
-
-
 class BackoffPolicy:
     """Retry-delay schedule for backend back-pressure (LCI_ERR_RETRY etc.).
 
@@ -95,6 +86,9 @@ class CommEngine:
         #: Observability bus (defaults to the simulator's, usually NULL_BUS).
         self.obs = obs if obs is not None else getattr(sim, "obs", NULL_BUS)
         self._am_tags: dict[int, tuple[AmCallback, Any]] = {}
+        #: Put data tags, counted per engine (above the AM tags) so a run's
+        #: wire tags never depend on what ran earlier in the process.
+        self._data_tags = itertools.count(1000)
         #: Counters exposed for benchmarks/tests.
         self.stats = {
             "am_sent": 0,
@@ -114,6 +108,11 @@ class CommEngine:
         self._am_next_seq: dict[int, int] = {}
         self._am_rx: dict[int, SeqTracker] = {}
         self._c_am_dup = self.obs.counter("parsec.am_dup_dropped", node)
+
+    def next_data_tag(self) -> int:
+        """A fresh wire tag for one put's data transfer.  Unique per origin
+        (the (origin, tag) tuple disambiguates at the target, §5.3.3)."""
+        return next(self._data_tags)
 
     # -- registration (tag_reg / mem_reg of Listing 1) --------------------
 

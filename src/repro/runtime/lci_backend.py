@@ -38,7 +38,6 @@ from repro.runtime.comm_engine import (
     CommEngine,
     OnesidedCallback,
     TAG_PUT_COMPLETE,
-    next_data_tag,
 )
 from repro.sim.core import Event, Process, Simulator
 from repro.sim.primitives import NotifyQueue
@@ -163,7 +162,7 @@ class LciBackend(CommEngine):
     ) -> Generator:
         """Specialized handshake (+ eager payload for small data) and a
         Direct transfer otherwise (§5.3.3)."""
-        data_tag = next_data_tag()
+        data_tag = self.next_data_tag()
         self.stats["puts_started"] += 1
         self.stats["bytes_put"] += size
         self._c_puts.inc()

@@ -32,7 +32,6 @@ from repro.runtime.comm_engine import (
     CommEngine,
     OnesidedCallback,
     TAG_PUT_COMPLETE,
-    next_data_tag,
 )
 from repro.sim.core import Event, Process, Simulator
 
@@ -168,7 +167,7 @@ class MpiBackend(CommEngine):
         l_cb_data: Any = None,
     ) -> Generator:
         """Handshake AM + (possibly deferred) two-sided data send."""
-        data_tag = next_data_tag()
+        data_tag = self.next_data_tag()
         self.stats["puts_started"] += 1
         self.stats["bytes_put"] += size
         self._c_puts.inc()
