@@ -14,14 +14,14 @@ from repro.bench.hicma_bench import HicmaConfig, run_hicma_benchmark
 from repro.config import scaled_platform
 from repro.hicma.dag import build_compression_graph
 from repro.runtime import ParsecContext
-from repro.sim import Simulator
+from repro.sim import build_simulator
 
 
 def test_event_heap_throughput(benchmark):
     """Raw kernel: one million typed-sleep resumes."""
 
     def run():
-        sim = Simulator()
+        sim = build_simulator()
 
         def proc():
             for _ in range(200_000):

@@ -27,12 +27,12 @@ def main() -> None:
             rank_model=RankModel(nt, tile, maxrank=150),
             time_model=KernelTimeModel(platform.compute),
         )
-        ctx = ParsecContext(platform, backend=backend, collect_traces=True)
+        ctx = ParsecContext(platform, backend=backend, observability=True)
         stats = ctx.run(graph, until=600.0)
         print(f"\n=== {backend} backend: TTS {stats.makespan * 1e3:.1f} ms, "
               f"e2e latency {stats.mean_flow_latency * 1e3:.3f} ms ===")
-        print(render_gantt(ctx.trace, width=68, max_workers=8))
-        occ = occupancy(worker_intervals(ctx.trace))
+        print(render_gantt(ctx.obs, width=68, max_workers=8))
+        occ = occupancy(worker_intervals(ctx.obs))
         mean_occ = sum(occ.values()) / len(occ)
         print(f"mean worker occupancy: {mean_occ:.1%}")
 

@@ -12,11 +12,6 @@ Workloads resolve through the :mod:`repro.workloads` plugin registry, so
 external packages can contribute their own via the ``repro.workloads``
 entry-point group.
 
-The historical one-call helpers (``run_pingpong``/``run_overlap``/
-``run_hicma``/``quick_compare``) remain as thin shims that emit
-:class:`DeprecationWarning` and delegate to :class:`Experiment`, so old
-call sites keep producing identical results.
-
 Heavy imports happen lazily so that ``import repro`` stays fast and so
 subsystems can be used independently.
 """
@@ -24,7 +19,6 @@ subsystems can be used independently.
 from __future__ import annotations
 
 import enum
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -38,10 +32,6 @@ __all__ = [
     "OverlapResult",
     "HicmaResult",
     "GraphResult",
-    "quick_compare",
-    "run_pingpong",
-    "run_overlap",
-    "run_hicma",
 ]
 
 
@@ -280,114 +270,3 @@ class Experiment:
             f"nodes={self.nodes!r}, seed={self.seed!r}, params={self.params!r})"
         )
 
-
-def _deprecated(name: str) -> None:
-    warnings.warn(
-        f"{name}() is deprecated; use "
-        f"repro.Experiment(workload=..., ...).run() instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def run_pingpong(
-    fragment_size: int,
-    backend: "BackendKind | str" = BackendKind.LCI,
-    *,
-    streams: int = 1,
-    total_bytes: Optional[int] = None,
-    iterations: int = 4,
-    sync: bool = True,
-    seed: int = 0,
-) -> PingPongResult:
-    """Deprecated shim: run the ping-pong benchmark (paper §6.2).
-
-    Use ``Experiment(workload="pingpong", ...)`` instead; this delegates
-    there and returns the identical :class:`PingPongResult`.
-    """
-    _deprecated("run_pingpong")
-    return Experiment(
-        workload="pingpong",
-        backend=backend,
-        seed=seed,
-        fragment_size=fragment_size,
-        streams=streams,
-        total_bytes=total_bytes,
-        iterations=iterations,
-        sync=sync,
-    ).run()
-
-
-def run_overlap(
-    fragment_size: int,
-    backend: "BackendKind | str" = BackendKind.LCI,
-    *,
-    total_bytes: Optional[int] = None,
-    seed: int = 0,
-) -> OverlapResult:
-    """Deprecated shim: run the overlap benchmark (paper §6.3).
-
-    Use ``Experiment(workload="overlap", ...)`` instead; this delegates
-    there and returns the identical :class:`OverlapResult`.
-    """
-    _deprecated("run_overlap")
-    return Experiment(
-        workload="overlap",
-        backend=backend,
-        seed=seed,
-        fragment_size=fragment_size,
-        total_bytes=total_bytes,
-    ).run()
-
-
-def run_hicma(
-    matrix_size: int,
-    tile_size: int,
-    backend: "BackendKind | str" = BackendKind.LCI,
-    *,
-    num_nodes: int = 4,
-    multithreaded_activate: bool = False,
-    seed: int = 0,
-) -> HicmaResult:
-    """Deprecated shim: run the simulated HiCMA TLR Cholesky (paper §6.4).
-
-    Use ``Experiment(workload="hicma", ...)`` instead; this delegates
-    there and returns the identical :class:`HicmaResult`.
-    """
-    _deprecated("run_hicma")
-    return Experiment(
-        workload="hicma",
-        backend=backend,
-        nodes=num_nodes,
-        seed=seed,
-        matrix_size=matrix_size,
-        tile_size=tile_size,
-        multithreaded_activate=multithreaded_activate,
-    ).run()
-
-
-def quick_compare(fragment_size: int = 128 * 1024, **kwargs):
-    """Deprecated shim: ping-pong on both backends, reported side by side.
-
-    Use two ``Experiment(workload="pingpong", backend=...)`` runs and
-    :class:`repro.bench.report.Comparison` instead.  Returns a
-    :class:`~repro.bench.report.Comparison` over identical results.
-    """
-    _deprecated("quick_compare")
-    from repro.bench.report import Comparison
-
-    results = {
-        kind.value: Experiment(
-            workload="pingpong",
-            backend=kind,
-            fragment_size=fragment_size,
-            **kwargs,
-        ).run()
-        for kind in (BackendKind.MPI, BackendKind.LCI)
-    }
-    return Comparison(
-        title=f"ping-pong @ fragment={fragment_size} B",
-        results=results,
-        metric="bandwidth_gbit",
-        higher_is_better=True,
-    )

@@ -89,28 +89,7 @@ def _common_flags(
                        "processes (default: serial, or "
                        "$REPRO_SIM_PARTITIONS); results are bit-identical "
                        "to serial execution")
-        p.add_argument("--window-batch", type=int, default=None, metavar="K",
-                       help="sync windows per coordinator round-trip for "
-                       "--partitions (default: the batched protocol's "
-                       "PartitionConfig.window_batch; 1 = classic "
-                       "per-window protocol)")
     return p
-
-
-def _resolve_partitions(args):
-    """Combine ``--partitions``/``--window-batch`` into the one
-    ``partitions=`` value every API layer accepts (``None``, an int, or
-    a :class:`~repro.config.PartitionConfig`)."""
-    partitions = getattr(args, "partitions", None)
-    batch = getattr(args, "window_batch", None)
-    if batch is None:
-        return partitions
-    from repro.config import PartitionConfig
-    from repro.errors import ConfigError
-
-    if partitions is None:
-        raise ConfigError("--window-batch requires --partitions")
-    return PartitionConfig(partitions=partitions, window_batch=batch)
 
 
 def _param_value(text: str):
@@ -393,7 +372,7 @@ def cmd_run(args) -> int:
             nodes=args.nodes,
             seed=args.seed,
             faults=args.faults,
-            partitions=_resolve_partitions(args),
+            partitions=args.partitions,
             **params,
         ).run()
     except ConfigError as exc:
@@ -489,7 +468,7 @@ def _report_abort(exc) -> int:
 
 def cmd_hicma(args) -> int:
     """Run one simulated TLR Cholesky configuration."""
-    from repro.errors import ConfigError, SupervisionError
+    from repro.errors import SupervisionError
     from repro.bench.hicma_bench import (
         HicmaConfig,
         default_matrix_size,
@@ -524,11 +503,7 @@ def cmd_hicma(args) -> int:
         from repro.supervise import RunGuards
 
         guards = RunGuards(deadline=args.deadline, max_events=args.max_events)
-    try:
-        partitions = _resolve_partitions(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    partitions = args.partitions
     if partitions is None:
         from repro.config import default_partitions
 
@@ -622,10 +597,10 @@ def cmd_explore(args) -> int:
         write_schedule,
     )
 
-    if args.partitions is not None or args.window_batch is not None:
+    if args.partitions is not None:
         print(
             "error: the schedule explorer drives event interleavings "
-            "in-process and does not support --partitions/--window-batch",
+            "in-process and does not support --partitions",
             file=sys.stderr,
         )
         return 2
@@ -704,10 +679,10 @@ def cmd_chaos(args) -> int:
     from repro.bench.chaos import ChaosConfig, run_chaos
     from repro.faults.plans import fault_plan
 
-    if args.partitions is not None or args.window_batch is not None:
+    if args.partitions is not None:
         print(
             "error: fault injection consumes RNG streams in global send "
-            "order and is incompatible with --partitions/--window-batch",
+            "order and is incompatible with --partitions",
             file=sys.stderr,
         )
         return 2
@@ -747,7 +722,7 @@ def cmd_sweep(args) -> int:
     """Run a named experiment grid through the sweep engine."""
     from repro.analysis.sweep_tables import render_outcome
     from repro.config import SweepConfig
-    from repro.errors import ConfigError, SweepInterrupted
+    from repro.errors import SweepInterrupted
     from repro.sweep import ResultCache, named_grid, run_sweep
 
     cache = None if args.no_cache else ResultCache(args.cache_dir)
@@ -767,12 +742,7 @@ def cmd_sweep(args) -> int:
             "streams": args.streams,
         }
     spec = named_grid(args.grid, **kwargs)
-    try:
-        cli_partitions = _resolve_partitions(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if cli_partitions is not None:
+    if args.partitions is not None:
         # Stamp the engine selection onto every point.  Workloads without
         # accepts_partitions fail their points loudly (ConfigError) rather
         # than silently running serial; cache keys change only when the
@@ -784,7 +754,7 @@ def cmd_sweep(args) -> int:
         spec = SweepSpec(
             name=spec.name,
             points=tuple(
-                _dc.replace(p, partitions=cli_partitions)
+                _dc.replace(p, partitions=args.partitions)
                 for p in spec.points
             ),
         )

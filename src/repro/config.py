@@ -490,15 +490,6 @@ class PartitionConfig(DictCodec):
     heartbeat_timeout: float = 60.0
     #: Whole-run retries after a transient worker failure (SIGKILL, OOM).
     retries: int = 1
-    #: Sync windows each worker runs per coordinator round-trip.  1
-    #: reproduces the classic two-round-trip-per-window pipe protocol;
-    #: >1 lets the fleet self-synchronize up to this many windows at a
-    #: time over pairwise worker pipes (wire records and completion
-    #: notices exchange directly, every worker replaying the same
-    #: canonical ``(inject, src, seq)`` merge), cutting coordinator
-    #: round-trips by ~2x the batch length.  Overridable per process
-    #: via the ``REPRO_PARTITION_WINDOW_BATCH`` environment variable.
-    window_batch: int = 64
 
     def __post_init__(self) -> None:
         _require(
@@ -523,13 +514,6 @@ class PartitionConfig(DictCodec):
         _require(
             isinstance(self.retries, int) and self.retries >= 0,
             f"PartitionConfig.retries must be an int >= 0 (got {self.retries!r})",
-        )
-        _require(
-            isinstance(self.window_batch, int)
-            and not isinstance(self.window_batch, bool)
-            and self.window_batch >= 1,
-            f"PartitionConfig.window_batch must be an int >= 1 "
-            f"(got {self.window_batch!r})",
         )
 
 

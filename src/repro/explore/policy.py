@@ -51,23 +51,16 @@ def scope_of(entry) -> Optional[frozenset]:
     an equivalent execution.  Returns ``None`` when the scope cannot be
     determined — unknown entries conservatively conflict with everything.
 
-    Accepts both the batched kernel's kind-coded ``(seq, kind, a, b, c)``
-    entries and the legacy kernel's ``(seq, event, fn, args)`` shape
-    (selected via ``REPRO_SIM_CORE=legacy``).
+    ``entry`` is the kernel's kind-coded ``(seq, kind, a, b, c)`` tuple.
     """
-    if type(entry[1]) is int:
-        _seq, kind, a, b, _c = entry
-        if kind == K_RESUME:
-            # A typed sleep wake-up touches exactly the owning thread's
-            # rank (the same scope the legacy Timeout + ``_resume``
-            # callback pair resolved to).
-            rank = _owner_rank(a)
-            return None if rank is None else frozenset((rank,))
-        event = a if kind == K_EVT else None
-        fn = a if kind == K_CALL else None
-        args = b if kind == K_CALL else ()
-    else:
-        _seq, event, fn, args = entry
+    _seq, kind, a, b, _c = entry
+    if kind == K_RESUME:
+        # A typed sleep wake-up touches exactly the owning thread's rank.
+        rank = _owner_rank(a)
+        return None if rank is None else frozenset((rank,))
+    event = a if kind == K_EVT else None
+    fn = a if kind == K_CALL else None
+    args = b if kind == K_CALL else ()
     if fn is not None:
         ranks = set()
         owner = getattr(fn, "__self__", None)

@@ -13,11 +13,10 @@ Design rules:
 - **Disabled is free.**  :data:`NULL_BUS` implements the full bus API as
   no-ops on shared singletons — zero per-event allocation, so the
   simulator-throughput benchmark is unaffected by the instrumentation.
-- **One emit path.**  Ad-hoc tracing (``ctx.trace.record(...)`` call sites,
+- **One emit path.**  Ad-hoc tracing (``.trace.record(...)`` call sites,
   private message logs) is forbidden outside this package; the
-  ``tools/check_no_adhoc_tracing.py`` lint enforces it.
-- **Legacy facade.**  :class:`repro.sim.trace.TraceRecorder` remains as a
-  thin compatibility view over a bus's memory sink.
+  ``tools/check_no_adhoc_tracing.py`` lint enforces it.  Readers query
+  ``ctx.obs.memory``.
 
 See ``docs/observability.md`` for the event taxonomy and sink API.
 """

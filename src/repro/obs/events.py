@@ -3,8 +3,7 @@
 An :class:`ObsEvent` is one timestamped observation.  ``phase`` follows the
 Chrome tracing convention in spirit:
 
-- ``"I"`` — instant event (the default; what the old ``TraceRecorder``
-  recorded exclusively);
+- ``"I"`` — instant event (the default);
 - ``"B"``/``"E"`` — begin/end of a span (see :meth:`repro.obs.bus.ObsBus.span`);
 - ``"C"`` — a counter sample.
 

@@ -38,11 +38,10 @@ __all__ = [
 def memory_of(source: Any):
     """The indexed event store behind ``source``.
 
-    Accepts anything with ``by_kind``/``by_key`` (a :class:`MemorySink` or a
-    :class:`~repro.sim.trace.TraceRecorder` facade) or an
-    :class:`~repro.obs.bus.ObsBus` (uses its attached memory sink).  Lets the
-    analysis modules consume traces from any of the three without caring
-    which they were handed.
+    Accepts anything with ``by_kind``/``by_key`` (a :class:`MemorySink`) or
+    an :class:`~repro.obs.bus.ObsBus` (uses its attached memory sink).  Lets
+    the analysis modules consume traces from either without caring which
+    they were handed.
     """
     if hasattr(source, "by_kind"):
         return source

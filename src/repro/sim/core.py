@@ -59,10 +59,9 @@ at a time:
 - a process is itself an :class:`Event` that triggers when the generator
   returns, so processes can wait on each other.
 
-Setting ``REPRO_SIM_CORE=legacy`` in the environment selects the frozen
-pre-epoch kernel (:mod:`repro.sim._legacy_core`) at import time — the A/B
-baseline used by ``tools/bench_ab.py`` to prove the batched core produces
-bit-identical traces.
+The committed golden fingerprint corpus (``tools/regen_golden.py``) pins
+the traces and results this kernel produces; a kernel change that moves
+any of them shows up there.
 
 Only behaviours needed by the repro stack are implemented; there is no
 real-time synchronisation and no thread safety (the simulation is strictly
@@ -73,12 +72,10 @@ from __future__ import annotations
 
 import heapq
 import math
-import os
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from repro.errors import SimulationError
 from repro.obs.bus import NULL_BUS
-from repro.sim._kinds import K_CALL, K_EVT, K_RESUME, PARK
 
 __all__ = [
     "Simulator",
@@ -96,6 +93,27 @@ __all__ = [
 ]
 
 _PENDING = object()
+
+#: Entry kinds (the ``kind`` slot of every scheduled entry).
+K_EVT = 0      #: generic event dispatch: ``a._dispatch()``
+K_CALL = 1     #: plain callback: ``a(*b)``
+K_RESUME = 2   #: typed process resume: send ``c`` into process ``a``
+
+
+class _ParkSentinel:
+    """Singleton yielded by a process to park until :meth:`Process.wake`."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return "PARK"
+
+
+#: ``yield PARK`` suspends the process with *no* scheduled wake-up; some
+#: other actor must call :meth:`Process.wake` (idempotent until the process
+#: next runs).  This is the allocation-free replacement for parking on an
+#: ``AnyOf`` over per-wait notification events.
+PARK = _ParkSentinel()
 
 
 class SchedulePolicy:
@@ -249,7 +267,7 @@ class Process(Event):
         #: Wake token for typed sleeps: bumped every time the process runs,
         #: so a pending K_RESUME entry whose captured token no longer
         #: matches (the process was interrupted, or finished) is stale and
-        #: fires as a no-op — the typed analogue of the legacy stale-Timeout
+        #: fires as a no-op — the typed analogue of the stale-Timeout
         #: identity check in :meth:`_resume`.
         self._wtok: int = 0
         if sim.obs.enabled:
@@ -805,26 +823,3 @@ class Simulator:
         if not proc.ok:
             raise proc.value
         return proc.value
-
-
-#: ``REPRO_SIM_CORE=legacy`` swaps in the frozen pre-epoch kernel at import
-#: time — every ``from repro.sim.core import X`` site then resolves to the
-#: legacy implementation, which is how ``tools/bench_ab.py`` A/B-tests the
-#: two cores in separate interpreters on identical upper layers.
-_SELECTED_CORE = os.environ.get("REPRO_SIM_CORE", "batched")
-if _SELECTED_CORE == "legacy":
-    from repro.sim import _legacy_core as _impl
-
-    Simulator = _impl.Simulator            # noqa: F811
-    SchedulePolicy = _impl.SchedulePolicy  # noqa: F811
-    Event = _impl.Event                    # noqa: F811
-    Timeout = _impl.Timeout                # noqa: F811
-    Process = _impl.Process                # noqa: F811
-    Interrupt = _impl.Interrupt            # noqa: F811
-    AllOf = _impl.AllOf                    # noqa: F811
-    AnyOf = _impl.AnyOf                    # noqa: F811
-    _PENDING = _impl._PENDING
-elif _SELECTED_CORE != "batched":
-    raise SimulationError(
-        f"REPRO_SIM_CORE must be 'batched' or 'legacy', got {_SELECTED_CORE!r}"
-    )

@@ -10,32 +10,37 @@ nodes get threads and load — and drives its own
 latency ``L`` (the lookahead: no wire message can take effect sooner
 than ``L`` after it was injected).
 
-Synchronization is a two-round-trip barrier per window, run by a
-coordinator in the parent process over one pipe per worker:
+Synchronization runs in *batches* of up to :data:`WINDOW_BATCH` windows
+per coordinator round-trip.  The coordinator grants every worker a
+horizon ``H`` and a window quota over one pipe per worker; within the
+batch the fleet self-synchronizes over pairwise worker pipes, and every
+worker replays the same steps for each window:
 
-1. ``advance(notices, H)`` → workers apply pending source-side
-   completion notices and run their heaps up to the global horizon
-   ``H``; deferred wire sends accumulate as
+1. Insert the pending deliveries and completion notices into the heap,
+   then run the heap up to ``H``.  Deferred wire sends accumulate as
    :class:`~repro.network.fabric.WireRecord` entries.
-2. ``sent`` ← each worker's outbox.  The coordinator sorts the
-   concatenation by the canonical ``(inject, src, seq)`` total order —
-   the same key the serial fabric's end-of-epoch flush replays — and
-   buckets records by the destination's owner.  Same-timestamp ties
+2. Exchange outboxes with every peer and sort the concatenation by the
+   canonical ``(inject, src, seq)`` total order — the same key the
+   serial fabric's end-of-epoch flush replays.  Same-timestamp ties
    therefore resolve identically in both engines by construction,
    without any partition having to observe global execution order.
-3. ``deliver(records)`` → each worker ejects its records at the
-   destination NICs in canonical order (:meth:`PartitionFabric.
-   eject_delivery`) and converts ``_fin`` payload hints into source-side
-   completion notices (queued locally when the source is owned, reported
-   otherwise).  Heap insertion is *deferred*: deliveries and fins are
-   queued tagged with their originating send's global merge position and
-   inserted at the next ``advance`` in that order — the serial kernel
-   schedules both at send time, so this replays its insertion order and
-   resolves equal-fire-time ties identically.
-4. ``state`` ← each worker's next-event time, foreign notices, and task
-   count.  The coordinator computes the next horizon ``H' = min(all
-   next-event times ∪ all notice times) + L``; clamping by unapplied
-   notice times is what makes reporting before application safe.
+3. Eject the records whose destination this worker owns, in canonical
+   order (:meth:`PartitionFabric.eject_delivery`), and convert ``_fin``
+   payload hints into source-side completion notices (queued locally
+   when the source is owned, sent to the owner otherwise).  Heap
+   insertion is *deferred*: deliveries and fins are queued tagged with
+   their originating send's global merge position and inserted at the
+   next window in that order — the serial kernel schedules both at send
+   time, so this replays its insertion order and resolves
+   equal-fire-time ties identically.
+4. Exchange next-event times and foreign notices.  Every worker computes
+   the same next horizon ``H' = min(all next-event times ∪ all notice
+   times) + L``; clamping by unapplied notice times is what makes
+   reporting before application safe.
+
+At the end of a batch each worker reports its window count, task count,
+next horizon and whether the fleet is quiescent; the coordinator checks
+that they agree and grants the next batch.
 
 Safety: the earliest event in window ``k`` is exactly ``m = H_k − L``,
 so any wire send in the window happens at ``t ≥ m`` and delivers at
@@ -91,6 +96,11 @@ __all__ = [
 #: identical to an undisturbed one.
 CHAOS_ENV = "REPRO_PARTITION_CHAOS"
 
+#: Sync windows each worker runs per coordinator round-trip.  Wire
+#: records and completion notices exchange directly between workers
+#: inside a batch, so coordinator round-trips fall by about this factor.
+WINDOW_BATCH = 64
+
 
 @dataclass(frozen=True)
 class PartitionRole:
@@ -116,9 +126,8 @@ class PartitionRole:
 class PartitionSimulator(Simulator):
     """The DES kernel a partition worker drives window by window.
 
-    Identical event semantics to the serial core (it *is* the selected
-    core class, including the ``REPRO_SIM_CORE=legacy`` twin) — the only
-    addition is window bookkeeping, because the partition driver calls
+    Identical event semantics to the serial core (it *is* the core
+    class) — the only addition is window bookkeeping, because the partition driver calls
     ``run(until=horizon)`` repeatedly instead of once.
     """
 
@@ -259,7 +268,12 @@ def _worker_main(wid: int, job: dict, conn, peer_rows=None) -> None:
         workers = ctx.partition_prepare(graph, guards=job["guards"])
         sim, fabric = ctx.sim, ctx.fabric
         lookahead = lookahead_bound(fabric)
-        conn.send(("ready", wid, lookahead, graph.num_tasks))
+        t_next = sim.next_event_time()
+        if t_next == math.inf:
+            # Premature local quiescence is how a crashed worker thread
+            # presents; surface the real exception.
+            ctx.partition_check_threads()
+        conn.send(("ready", wid, lookahead, graph.num_tasks, t_next))
         if job.get("lookahead_override") is not None:
             # Same tightening the coordinator applies — both sides must
             # compute bit-identical horizons.
@@ -276,77 +290,11 @@ def _worker_main(wid: int, job: dict, conn, peer_rows=None) -> None:
         while True:
             msg = conn.recv()
             tag = msg[0]
-            if tag == "advance":
-                _, notices, horizon = msg
-                for when, win, pos, channel, node, ref in notices:
-                    fn, args = _fin_call(ctx, channel, node, ref)
-                    pending.append((win, pos, 1, when, fn, args))
-                pending.sort(key=lambda e: (e[0], e[1], e[2]))
-                for _, _, _, when, fn, args in pending:
-                    sim.call_at(when, fn, *args)
-                pending.clear()
-                sim.windows_run += 1
-                if chaos_at is not None and sim.windows_run == chaos_at:
-                    os.kill(os.getpid(), signal.SIGKILL)
-                if horizon is None:
-                    sim.run()
-                else:
-                    sim.run(until=horizon)
-                if sim._tick_fn is not None:
-                    # Each run() call re-arms the kernel's in-loop tick
-                    # counter, and a window rarely spans a full tick
-                    # interval — so cross-window budgets (run guards)
-                    # are enforced here, once per window.
-                    sim._tick_fn(sim.events_processed)
-                conn.send(("sent", wid, fabric.take_outbox()))
-            elif tag == "deliver":
-                _, win, bucket = msg
-                foreign = []
-                for pos, rec in bucket:
-                    wire_msg, deliver, when, handler = (
-                        fabric.eject_delivery(rec)
-                    )
-                    pending.append((win, pos, 0, when, handler, (wire_msg,)))
-                    payload = wire_msg.payload
-                    fin = (
-                        payload.get("_fin")
-                        if isinstance(payload, dict)
-                        else None
-                    )
-                    if fin is not None:
-                        ref, extra = fin
-                        # Same float arithmetic as the serial kernel's
-                        # call_later(deliver - now + extra) at send time.
-                        fin_when = (
-                            rec.inject + ((deliver - rec.inject) + extra)
-                        )
-                        if fabric.owner_of(rec.src) == role.index:
-                            fn, args = _fin_call(
-                                ctx, rec.channel, rec.src, ref
-                            )
-                            pending.append((win, pos, 1, fin_when, fn, args))
-                        else:
-                            foreign.append(
-                                (fin_when, win, pos, rec.channel,
-                                 rec.src, ref)
-                            )
-                t_next = sim.next_event_time()
-                for entry in pending:
-                    if entry[3] < t_next:
-                        t_next = entry[3]
-                if t_next == math.inf:
-                    # Premature local quiescence is how a crashed worker
-                    # thread presents; surface the real exception.
-                    ctx.partition_check_threads()
-                conn.send(("state", wid, t_next, foreign, ctx._executed))
-            elif tag == "batch":
+            if tag == "batch":
                 # Self-synchronized batch: run up to ``quota`` windows
                 # exchanging records and completion notices directly
                 # with peer workers — the coordinator is only contacted
-                # once per batch.  Every step replays the classic
-                # advance/sent/deliver/state round bit for bit: same
-                # pending-insertion order, same canonical merge, same
-                # horizon formula — just without the central hop.
+                # once per batch (steps 1-4 of the module docstring).
                 _, horizon, quota = msg
                 done = 0
                 quiescent = False
@@ -363,6 +311,10 @@ def _worker_main(wid: int, job: dict, conn, peer_rows=None) -> None:
                     else:
                         sim.run(until=horizon)
                     if sim._tick_fn is not None:
+                        # Each run() call re-arms the kernel's in-loop
+                        # tick counter, and a window rarely spans a full
+                        # tick interval — so cross-window budgets (run
+                        # guards) are enforced here, once per window.
                         sim._tick_fn(sim.events_processed)
                     done += 1
                     win = sim.windows_run
@@ -609,7 +561,7 @@ def _raise_worker_error(msg: tuple, job: dict) -> None:
     raise RuntimeBackendError(f"partition worker {wid} failed:\n{text}")
 
 
-def _attempt(job: dict, pcfg, owner: tuple, progress, attempt: int):
+def _attempt(job: dict, pcfg, progress, attempt: int):
     """One supervised attempt: spawn workers, run windows, merge stats."""
     P = pcfg.partitions
     methods = multiprocessing.get_all_start_methods()
@@ -617,7 +569,6 @@ def _attempt(job: dict, pcfg, owner: tuple, progress, attempt: int):
         "fork" if "fork" in methods else None
     )
     job = dict(job, attempt=attempt)
-    batch = pcfg.window_batch
     conns: list = []
     procs: list = []
     peer_conns: list = []
@@ -627,7 +578,7 @@ def _attempt(job: dict, pcfg, owner: tuple, progress, attempt: int):
         # child can close the endpoints it does not own (see
         # ``_worker_main`` — prompt EOF on peer death depends on it).
         peer_rows = None
-        if batch > 1 and P > 1:
+        if P > 1:
             peer_rows = [[None] * P for _ in range(P)]
             for i in range(P):
                 for j in range(i + 1, P):
@@ -708,24 +659,9 @@ def _attempt(job: dict, pcfg, owner: tuple, progress, attempt: int):
                     del remaining[wid]
             return [got[wid] for wid in range(P)]
 
-        def collect_state():
-            t_nexts = [math.inf] * P
-            notices_for: list = [[] for _ in range(P)]
-            executed = [0] * P
-            for wid in range(P):
-                msg = recv(wid)
-                if msg[0] != "state":  # pragma: no cover - defensive
-                    raise RuntimeBackendError(
-                        f"worker {wid}: expected state, got {msg[0]!r}"
-                    )
-                t_nexts[wid] = msg[2]
-                executed[wid] = msg[4]
-                for notice in msg[3]:
-                    # notice = (when, win, pos, channel, src, ref)
-                    notices_for[owner[notice[4]]].append(notice)
-            return t_nexts, notices_for, executed
-
-        bounds, totals = [], []
+        # Bootstrap: every worker reports its lookahead bound, task count
+        # and initial next-event time (the t=0 source tasks).
+        bounds, totals, t_nexts = [], [], []
         for wid in range(P):
             msg = recv(wid)
             if msg[0] != "ready":  # pragma: no cover - defensive
@@ -734,6 +670,7 @@ def _attempt(job: dict, pcfg, owner: tuple, progress, attempt: int):
                 )
             bounds.append(msg[2])
             totals.append(msg[3])
+            t_nexts.append(msg[4])
         if len(set(totals)) != 1:
             raise RuntimeBackendError(
                 f"workers disagree on task count: {totals} — "
@@ -750,94 +687,48 @@ def _attempt(job: dict, pcfg, owner: tuple, progress, attempt: int):
             # network bound would let a delivery land in a worker's past.
             lookahead = min(lookahead, pcfg.lookahead)
 
-        # Bootstrap: an empty delivery round makes every worker report
-        # its initial next-event time (the t=0 source tasks).
-        for conn in conns:
-            conn.send(("deliver", 0, []))
-        t_nexts, notices_for, executed = collect_state()
-
         reporter = _Progress(progress, total)
+        executed = [0] * P
         windows = 0
-        roundtrips = 1  # the bootstrap deliver/state exchange
+        roundtrips = 1  # the bootstrap report
         last_t = 0.0
-        if batch > 1:
-            # Batched sync windows: grant each worker up to
-            # ``window_batch`` windows per round-trip; the fleet
-            # self-synchronizes through the pairwise pipes (records and
-            # notices never transit the coordinator) and reports back
-            # once per batch with the jointly computed next horizon.
-            earliest = min(t_nexts)
-            if earliest != math.inf:
-                horizon = earliest + lookahead
-                if horizon == math.inf:
-                    horizon = None  # single-node world
-                while True:
-                    for conn in conns:
-                        conn.send(("batch", horizon, batch))
-                    roundtrips += 1
-                    reports = recv_all("batch-done")
-                    done = {msg[2] for msg in reports}
-                    horizons = {msg[4] for msg in reports}
-                    quiet = {msg[5] for msg in reports}
-                    if (
-                        len(done) != 1
-                        or len(horizons) != 1
-                        or len(quiet) != 1
-                    ):  # pragma: no cover - defensive
-                        raise RuntimeBackendError(
-                            f"workers disagree on batch outcome: "
-                            f"windows={sorted(done)} "
-                            f"horizons={sorted(horizons, key=repr)} "
-                            f"quiescent={sorted(quiet)}"
-                        )
-                    windows += done.pop()
-                    executed = [msg[3] for msg in reports]
-                    next_h = horizons.pop()
-                    if next_h is not None:
-                        last_t = next_h
-                    reporter.tick(last_t, sum(executed), windows)
-                    if quiet.pop():
-                        break
-                    horizon = next_h
-        else:
+        # Grant each worker up to WINDOW_BATCH windows per round-trip;
+        # the fleet self-synchronizes through the pairwise pipes (records
+        # and notices never transit the coordinator) and reports back
+        # once per batch with the jointly computed next horizon.
+        earliest = min(t_nexts)
+        if earliest != math.inf:
+            horizon = earliest + lookahead
+            if horizon == math.inf:
+                horizon = None  # single-node world
             while True:
-                lows = list(t_nexts)
-                for per_worker in notices_for:
-                    lows.extend(notice[0] for notice in per_worker)
-                earliest = min(lows)
-                if earliest == math.inf:
-                    break
-                horizon = earliest + lookahead
-                if horizon == math.inf:
-                    horizon = None  # single-node world: run to exhaustion
-                for wid, conn in enumerate(conns):
-                    conn.send(("advance", notices_for[wid], horizon))
-                windows += 1
-                roundtrips += 2
-                records: list = []
-                for wid in range(P):
-                    msg = recv(wid)
-                    if msg[0] != "sent":  # pragma: no cover - defensive
-                        raise RuntimeBackendError(
-                            f"worker {wid}: expected sent, got {msg[0]!r}"
-                        )
-                    records.extend(msg[2])
-                # Canonical global order: the (inject, src, seq) total
-                # order.  The serial fabric defers destination-NIC
-                # ejection to the end of each injecting epoch and flushes
-                # in exactly this key order, so same-timestamp
-                # cross-partition arrivals at one NIC resolve identically
-                # in both engines *by construction* — no partition needs
-                # to observe the serial execution order.
-                records.sort(key=WIRE_MERGE_KEY)
-                buckets: list = [[] for _ in range(P)]
-                for pos, rec in enumerate(records):
-                    buckets[owner[rec.dst]].append((pos, rec))
-                for wid, conn in enumerate(conns):
-                    conn.send(("deliver", windows, buckets[wid]))
-                t_nexts, notices_for, executed = collect_state()
-                last_t = earliest if horizon is None else horizon
+                for conn in conns:
+                    conn.send(("batch", horizon, WINDOW_BATCH))
+                roundtrips += 1
+                reports = recv_all("batch-done")
+                done = {msg[2] for msg in reports}
+                horizons = {msg[4] for msg in reports}
+                quiet = {msg[5] for msg in reports}
+                if (
+                    len(done) != 1
+                    or len(horizons) != 1
+                    or len(quiet) != 1
+                ):  # pragma: no cover - defensive
+                    raise RuntimeBackendError(
+                        f"workers disagree on batch outcome: "
+                        f"windows={sorted(done)} "
+                        f"horizons={sorted(horizons, key=repr)} "
+                        f"quiescent={sorted(quiet)}"
+                    )
+                windows += done.pop()
+                executed = [msg[3] for msg in reports]
+                next_h = horizons.pop()
+                if next_h is not None:
+                    last_t = next_h
                 reporter.tick(last_t, sum(executed), windows)
+                if quiet.pop():
+                    break
+                horizon = next_h
 
         if sum(executed) != total:
             raise RuntimeBackendError(
@@ -865,7 +756,7 @@ def _attempt(job: dict, pcfg, owner: tuple, progress, attempt: int):
         # numbers reads the attribute off the instance.
         stats.partition_sync = {
             "partitions": P,
-            "window_batch": batch,
+            "window_batch": WINDOW_BATCH,
             "sync_windows": windows,
             "coordinator_roundtrips": roundtrips,
             "progress_beats": reporter.beats,
@@ -930,17 +821,6 @@ def run_partitioned_graph(
             "run_partitioned_graph requires partitions (an int >= 1 or a "
             "PartitionConfig)"
         )
-    env_batch = os.environ.get("REPRO_PARTITION_WINDOW_BATCH")
-    if env_batch:
-        import dataclasses as _dc
-
-        try:
-            pcfg = _dc.replace(pcfg, window_batch=int(env_batch))
-        except ValueError:
-            raise ConfigError(
-                f"REPRO_PARTITION_WINDOW_BATCH must be an int >= 1 "
-                f"(got {env_batch!r})"
-            ) from None
     if faults is not None and getattr(faults, "enabled", False):
         raise ConfigError(
             "fault injection is not supported in partitioned runs (the "
@@ -977,7 +857,7 @@ def run_partitioned_graph(
     last_error: Optional[_WorkerDied] = None
     for attempt in range(pcfg.retries + 1):
         try:
-            return _attempt(job, pcfg, owner, progress, attempt)
+            return _attempt(job, pcfg, progress, attempt)
         except _WorkerDied as exc:
             last_error = exc
             if attempt < pcfg.retries:

@@ -64,41 +64,3 @@ class TestExperiment:
         exp = repro.Experiment(workload="pingpong", faults="drop",
                                fragment_size=256 * KiB)
         assert isinstance(exp.faults, FaultConfig)
-
-
-class TestDeprecatedShims:
-    def test_run_pingpong_warns_and_delegates(self):
-        with pytest.warns(DeprecationWarning, match="run_pingpong"):
-            shim = repro.run_pingpong(256 * KiB, "lci",
-                                      total_bytes=1 * MiB, iterations=3)
-        direct = repro.Experiment(
-            workload="pingpong", backend="lci", fragment_size=256 * KiB,
-            total_bytes=1 * MiB, iterations=3, streams=1, sync=True,
-        ).run()
-        assert shim == direct
-
-    def test_run_overlap_warns_and_delegates(self):
-        with pytest.warns(DeprecationWarning, match="run_overlap"):
-            shim = repro.run_overlap(1 * MiB, repro.BackendKind.LCI,
-                                     total_bytes=4 * MiB)
-        direct = repro.Experiment(
-            workload="overlap", backend="lci", fragment_size=1 * MiB,
-            total_bytes=4 * MiB,
-        ).run()
-        assert shim == direct
-        assert shim.flops_per_s > 0
-
-    def test_run_hicma_warns_and_delegates(self):
-        with pytest.warns(DeprecationWarning, match="run_hicma"):
-            shim = repro.run_hicma(7200, 1200, "lci", num_nodes=2)
-        direct = repro.Experiment(
-            workload="hicma", backend="lci", nodes=2,
-            matrix_size=7200, tile_size=1200,
-        ).run()
-        assert shim == direct
-
-    def test_quick_compare_warns(self):
-        with pytest.warns(DeprecationWarning, match="quick_compare"):
-            comp = repro.quick_compare(fragment_size=256 * KiB,
-                                       total_bytes=1 * MiB)
-        assert "winner: lci" in comp.summary()

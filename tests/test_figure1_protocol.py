@@ -24,11 +24,28 @@ def figure1_graph(flow_bytes=1 * MiB):
     return g
 
 
+def record_wire_messages(fabric):
+    """Wrap ``fabric.send`` to record every injected WireMessage in order.
+
+    The obs ``wire_msg`` event carries sizes and times but not the payload
+    kind/tag this walkthrough checks, so the test keeps its own log.
+    """
+    log = []
+    send = fabric.send
+
+    def logged_send(msg):
+        log.append(msg)
+        return send(msg)
+
+    fabric.send = logged_send
+    return log
+
+
 def run_logged(backend, flow_bytes=1 * MiB, **kwargs):
     ctx = ParsecContext(
         scaled_platform(num_nodes=3, cores_per_node=2), backend=backend, **kwargs
     )
-    log = ctx.fabric.enable_message_log()
+    log = record_wire_messages(ctx.fabric)
     stats = ctx.run(figure1_graph(flow_bytes), until=10.0)
     return ctx, stats, log
 

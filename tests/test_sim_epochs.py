@@ -7,18 +7,11 @@ runnable set, Interrupt/AnyOf/AllOf behave at epoch boundaries, and the
 ``yield PARK`` / :meth:`Process.wake` typed path.
 """
 
-import os
-
 import pytest
 
 from repro.errors import SimulationError
 from repro.sim.core import PARK, Simulator
 from repro.sim.core import K_CALL, K_RESUME, SchedulePolicy
-
-#: The ready-entry *shape* differs between the cores (the legacy kernel
-#: passes ``(seq, event, fn, args)``); shape-specific assertions only run
-#: on the batched kernel.  Everything else here must pass on both.
-_LEGACY = os.environ.get("REPRO_SIM_CORE") == "legacy"
 
 
 # ----------------------------------------------------------------------
@@ -131,7 +124,6 @@ class _LIFO(SchedulePolicy):
 
 
 class TestPolicyContract:
-    @pytest.mark.skipif(_LEGACY, reason="entry shape is batched-kernel specific")
     def test_policy_sees_full_runnable_set(self):
         """choose() receives every entry due now, as 5-tuples, FIFO order."""
         policy = _Recording()

@@ -37,13 +37,13 @@ class TestSoakRandomDag:
             scheduler="ws",
             num_comm_threads=2,
             multithreaded_activate=True,
-            collect_traces=True,
+            observability=True,
         )
         stats = ctx.run(g, until=120.0)
         assert stats.tasks_executed == g.num_tasks
         from repro.analysis.gantt import worker_intervals
 
-        assert worker_intervals(ctx.trace)  # tracing captured executions
+        assert worker_intervals(ctx.obs)  # tracing captured executions
 
 
 class TestMultiNodeStreams:

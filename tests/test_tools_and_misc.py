@@ -112,15 +112,15 @@ class TestRepoCheckers:
         assert "ok schedule replay" in proc.stdout
 
     def test_bench_ab_smoke(self):
-        # Legacy-vs-batched kernel A/B: the smoke sizes still assert full
-        # trace bit-identity across both backends.
+        # Kernel micro loop plus serial-vs-partitioned A/B: the smoke
+        # sizes still assert full result bit-identity on both backends.
         proc = subprocess.run(
             [sys.executable, str(ROOT / "tools" / "bench_ab.py"), "--smoke"],
             capture_output=True,
             text=True,
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert "bench_ab OK: cores bit-identical" in proc.stdout
+        assert "bench_ab OK: partitioned runs bit-identical" in proc.stdout
 
     def test_paper_scale_budget(self, tmp_path):
         # Build-only mode (~5 s): asserts the NT=150 graph build/memory
@@ -199,7 +199,8 @@ class TestApiFacadeOverlap:
     def test_run_overlap_facade(self):
         import repro
 
-        r = repro.run_overlap(1 * MiB, repro.BackendKind.LCI, total_bytes=4 * MiB)
+        r = repro.Experiment(workload="overlap", backend=repro.BackendKind.LCI,
+                             fragment_size=1 * MiB, total_bytes=4 * MiB).run()
         assert r.flops_per_s > 0
 
     def test_backend_kind_str(self):

@@ -10,10 +10,6 @@ through the sweep engine and the schedule explorer.
 """
 
 import dataclasses
-import os
-import pathlib
-import subprocess
-import sys
 
 import pytest
 
@@ -40,7 +36,6 @@ from repro.workloads.generators import (
     tree_collective,
 )
 
-ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 KiB = 1024
 MiB = 1024 * 1024
@@ -192,28 +187,6 @@ class TestBuiltinBitIdentity:
         direct = run_overlap_benchmark("mpi", cfg)
         assert via_registry.flops_per_s == direct.flops_per_s
         assert via_registry.makespan == direct.makespan
-
-    def test_same_seed_same_digest_both_kernels(self):
-        """A registry workload must produce identical numbers on the
-        epoch-batched kernel and the frozen legacy twin."""
-        spec = get_workload("ring")
-        cfg = spec.build_config(steps=4, num_nodes=3, seed=2)
-        r = spec.freeze(spec.run("lci", cfg), "lci")
-        digest = (r.makespan, r.tasks, r.wire_bytes, r.activates_sent)
-        code = (
-            "from repro.workloads import get_workload\n"
-            "spec = get_workload('ring')\n"
-            "cfg = spec.build_config(steps=4, num_nodes=3, seed=2)\n"
-            "r = spec.freeze(spec.run('lci', cfg), 'lci')\n"
-            "print(repr((r.makespan, r.tasks, r.wire_bytes,"
-            " r.activates_sent)))\n"
-        )
-        env = dict(os.environ, REPRO_SIM_CORE="legacy",
-                   PYTHONPATH=str(ROOT / "src"))
-        proc = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == repr(digest)
 
 
 class TestGenerators:

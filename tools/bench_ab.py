@@ -1,37 +1,24 @@
 #!/usr/bin/env python3
-"""A/B-test the epoch-batched kernel against the frozen legacy kernel.
+"""Kernel throughput, and the partitioned engine A/B against serial.
 
-Spawns subprocesses with ``REPRO_SIM_CORE=legacy`` / ``batched`` (the
-selection happens at import time, so each side needs its own interpreter)
-and compares the two cores on identical workloads:
+Two modes, both run on every invocation:
 
-- **micro** — a pure-kernel typed-sleep loop; reports events/second for
-  each core (min-of-N walls, i.e. best-of-reps) and the speedup ratio.
-- **stack** — a full runtime run (layered DAG over the MPI and LCI
-  backends) with observability on; asserts the complete observable
-  fingerprint (makespan, task/event counts, wire bytes, and a SHA-256
-  over every emitted obs event) is **bit-identical** across cores, and
-  reports the full-stack events/second delta.
+- **micro** — a pure-kernel typed-sleep loop; reports the kernel's
+  events/second (min-of-N walls, i.e. best of ``--reps``).
 - **partition** — a catalog workload run serially and under the
-  partitioned PDES engine (``partitions`` ∈ {2, 4}); asserts the
-  SHA-256 fingerprint of the complete typed result — every field,
+  partitioned PDES engine (``partitions`` ∈ {2, 4}); asserts the SHA-256
+  fingerprint of the complete typed result — every field,
   ``events_processed`` included — is **bit-identical** per partition
   count, and reports min-of-N events/second for each engine.
 
-Any fingerprint divergence exits 1 — the batched kernel's contract is
-"same execution, faster", the partitioned engine's is "same results,
-more processes", and this harness is the enforcement.
-
-``--partition-batch`` runs a dedicated fourth mode instead: the batched
-sync-window protocol (``PartitionConfig.window_batch``, default) against
-the classic two-round-trip-per-window coordinator protocol
-(``window_batch=1``) — fingerprints must be bit-identical, and the
-report shows walls plus the coordinator round-trip reduction.
+A fingerprint divergence exits 1: the partitioned engine's contract is
+"same results, more processes", and this harness is the enforcement.
+Kernel changes are checked against the committed golden fingerprint
+corpus instead (``tools/regen_golden.py``).
 
 Run as::
 
     python tools/bench_ab.py [--smoke] [--reps 3] [--backend mpi|lci|both]
-        [--partition-batch]
 
 ``--smoke`` shrinks both workloads to seconds of wall time (used by the
 test suite); the default sizes give stable ratios for the performance
@@ -41,28 +28,21 @@ docs.
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
-import os
-import subprocess
 import sys
 import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
-CORES = ("legacy", "batched")
+from regen_golden import result_fingerprint  # noqa: E402
 
 
-# ----------------------------------------------------------------------
-# child side: one workload in one interpreter, JSON on stdout
-# ----------------------------------------------------------------------
-
-def _run_micro(total_events: int) -> dict:
+def run_micro(total_events: int) -> dict:
     """Pure-kernel throughput: five processes doing typed sleeps."""
-    from repro.sim.core import Simulator
+    from repro.sim import build_simulator
 
-    sim = Simulator()
+    sim = build_simulator()
     per_proc = total_events // 10  # 2 events per sleep (schedule + fire)
 
     def proc():
@@ -77,48 +57,8 @@ def _run_micro(total_events: int) -> dict:
     return {"events": sim.events_processed, "wall": wall}
 
 
-def _run_stack(backend: str, layers: list) -> dict:
-    """Full-stack run with a complete observable fingerprint."""
-    from repro.bench.workloads import random_layered_dag
-    from repro.config import scaled_platform
-    from repro.runtime.context import ParsecContext
-
-    graph = random_layered_dag(layers, num_nodes=4, seed=7)
-    ctx = ParsecContext(
-        scaled_platform(num_nodes=4, cores_per_node=4),
-        backend=backend,
-        seed=5,
-        observability=True,
-    )
-    t0 = time.perf_counter()
-    stats = ctx.run(graph, until=120.0)
-    wall = time.perf_counter() - t0
-    digest = hashlib.sha256()
-    for ev in ctx.obs.memory.events:
-        digest.update(
-            repr((ev.time, ev.kind, ev.node, ev.key, ev.info)).encode()
-        )
-    return {
-        "trace_sha256": digest.hexdigest(),
-        "makespan": stats.makespan,
-        "tasks": stats.tasks_executed,
-        "events": stats.events_processed,
-        "wire_bytes": stats.wire_bytes,
-        "counters": dict(sorted(stats.obs_counters.items())),
-        "wall": wall,
-    }
-
-
-def _run_partition(backend: str, partitions, scale: dict) -> dict:
-    """One catalog-workload run, serial or partitioned, fingerprinted.
-
-    The fingerprint hashes the full typed result — ``events_processed``
-    included.  Serial and partitioned engines schedule the identical
-    kernel event set now that wire ejection is deferred to end of epoch
-    and replayed in ``(inject, src, seq)`` order in both.
-    """
-    import dataclasses
-
+def run_partition(backend: str, partitions, scale: dict) -> dict:
+    """One catalog-workload run, serial or partitioned, fingerprinted."""
     from repro.api import Experiment
 
     t0 = time.perf_counter()
@@ -127,60 +67,16 @@ def _run_partition(backend: str, partitions, scale: dict) -> dict:
         seed=3, partitions=partitions, **scale["params"],
     ).run()
     wall = time.perf_counter() - t0
-    doc = dataclasses.asdict(result)
-    events = doc.get("events_processed", 0)
-    digest = hashlib.sha256(
-        json.dumps(doc, sort_keys=True, default=repr).encode()
-    ).hexdigest()
     return {
-        "fingerprint": digest,
-        "events": events,
+        "fingerprint": result_fingerprint(result),
+        "events": result.events_processed,
         "wall": wall,
-        # Sync-protocol telemetry (partitioned runs only) rides outside
-        # the fingerprint: it describes the transport, not the simulation.
-        "sync": getattr(result, "partition_sync", None),
     }
 
 
-def _child_main(spec: dict) -> int:
-    sys.path.insert(0, str(ROOT / "src"))
-    if spec["workload"] == "micro":
-        out = _run_micro(spec["events"])
-    elif spec["workload"] == "partition":
-        out = _run_partition(spec["backend"], spec["partitions"], spec["scale"])
-    else:
-        out = _run_stack(spec["backend"], spec["layers"])
-    json.dump(out, sys.stdout)
-    return 0
-
-
-# ----------------------------------------------------------------------
-# parent side: spawn per-core children, compare
-# ----------------------------------------------------------------------
-
-def _spawn(core: str, spec: dict, extra_env: dict | None = None) -> dict:
-    env = dict(os.environ, REPRO_SIM_CORE=core, **(extra_env or {}))
-    proc = subprocess.run(
-        [sys.executable, __file__, "--child", json.dumps(spec)],
-        capture_output=True,
-        text=True,
-        env=env,
-        cwd=str(ROOT),
-    )
-    if proc.returncode != 0:
-        raise RuntimeError(
-            f"child ({core}, {spec['workload']}) failed:\n{proc.stderr}"
-        )
-    return json.loads(proc.stdout)
-
-
-def _best_events_per_sec(core: str, spec: dict, reps: int) -> float:
+def best_of(reps: int, fn, *args) -> dict:
     """Min-of-N walls: the least-noisy throughput estimate."""
-    best_wall, events = min(
-        ((r["wall"], r["events"]) for r in (_spawn(core, spec) for _ in range(reps))),
-        key=lambda t: t[0],
-    )
-    return events / best_wall
+    return min((fn(*args) for _ in range(reps)), key=lambda r: r["wall"])
 
 
 def main(argv=None) -> int:
@@ -188,130 +84,33 @@ def main(argv=None) -> int:
     ap.add_argument("--smoke", action="store_true",
                     help="tiny sizes, one rep (seconds of wall time)")
     ap.add_argument("--reps", type=int, default=3,
-                    help="micro-benchmark repetitions per core (min-of-N)")
+                    help="repetitions per measurement (min-of-N)")
     ap.add_argument("--backend", choices=["mpi", "lci", "both"], default="both")
-    ap.add_argument(
-        "--partition-batch", action="store_true",
-        help="A/B the batched sync-window protocol (window_batch=default) "
-             "against the classic two-round-trip-per-window protocol "
-             "(window_batch=1): fingerprints must match, walls and "
-             "coordinator round-trips are reported; runs only this mode")
-    ap.add_argument("--child", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
 
-    if args.child:
-        return _child_main(json.loads(args.child))
-
     if args.smoke:
-        micro_events, layers, reps = 100_000, [3, 4, 4, 3], 1
+        micro_events, reps = 100_000, 1
         scale = {"workload": "stencil", "nodes": 4,
                  "params": {"grid": 4, "steps": 4}}
     else:
-        micro_events, layers, reps = 2_000_000, [8, 12, 12, 12, 8], args.reps
+        micro_events, reps = 2_000_000, args.reps
         scale = {"workload": "stencil", "nodes": 4,
                  "params": {"grid": 16, "steps": 16}}
     backends = ["mpi", "lci"] if args.backend == "both" else [args.backend]
-    failed = False
 
-    if args.partition_batch:
-        # Dedicated A/B of the sync-window transport: classic
-        # (window_batch=1, two coordinator round-trips per window) vs the
-        # default batched protocol.  Same simulation, fewer round-trips.
-        for backend in backends:
-            base = {"workload": "partition", "backend": backend,
-                    "scale": scale}
-            serial = min(
-                (_spawn("batched", dict(base, partitions=None))
-                 for _ in range(reps)),
-                key=lambda r: r["wall"],
-            )
-            for count in (2, 4):
-                sides = {}
-                for side, env in (
-                    ("classic", {"REPRO_PARTITION_WINDOW_BATCH": "1"}),
-                    ("batched", {}),
-                ):
-                    sides[side] = min(
-                        (_spawn("batched", dict(base, partitions=count), env)
-                         for _ in range(reps)),
-                        key=lambda r: r["wall"],
-                    )
-                prints = {s: r["fingerprint"] for s, r in sides.items()}
-                if len({serial["fingerprint"], *prints.values()}) != 1:
-                    failed = True
-                    print(
-                        f"FAIL [{backend}] partitions={count}: sync "
-                        f"protocols diverge:\n"
-                        f"  serial  {serial['fingerprint']}\n"
-                        f"  classic {prints['classic']}\n"
-                        f"  batched {prints['batched']}"
-                    )
-                    continue
-                rts = {s: r["sync"]["coordinator_roundtrips"]
-                       for s, r in sides.items()}
-                print(
-                    f"batch  [{backend}] P={count} "
-                    f"(windows={sides['batched']['sync']['sync_windows']:,}, "
-                    f"fingerprint {serial['fingerprint'][:12]}..., "
-                    f"best of {reps}): bit-identical; "
-                    f"classic {rts['classic']:,} RTs "
-                    f"{sides['classic']['wall']:.2f}s, "
-                    f"batched {rts['batched']:,} RTs "
-                    f"{sides['batched']['wall']:.2f}s "
-                    f"-> {rts['classic'] / rts['batched']:.1f}x fewer "
-                    f"round-trips, "
-                    f"{sides['classic']['wall'] / sides['batched']['wall']:.2f}x "
-                    f"wall"
-                )
-        if failed:
-            return 1
-        print("bench_ab OK: sync-window protocols bit-identical")
-        return 0
-
-    micro_spec = {"workload": "micro", "events": micro_events}
-    rates = {c: _best_events_per_sec(c, micro_spec, reps) for c in CORES}
+    micro = best_of(reps, run_micro, micro_events)
     print(
         f"micro  ({micro_events:,} events, best of {reps}): "
-        f"legacy {rates['legacy']:,.0f} ev/s, "
-        f"batched {rates['batched']:,.0f} ev/s "
-        f"-> {rates['batched'] / rates['legacy']:.2f}x"
+        f"{micro['events'] / micro['wall']:,.0f} ev/s"
     )
 
+    failed = False
+    run_partition(backends[0], None, scale)  # keep lazy imports out of timings
     for backend in backends:
-        spec = {"workload": "stack", "backend": backend, "layers": layers}
-        results = {c: _spawn(c, spec) for c in CORES}
-        walls = {c: r.pop("wall") for c, r in results.items()}
-        if results["legacy"] != results["batched"]:
-            failed = True
-            print(f"FAIL [{backend}]: cores diverge:")
-            for key in results["legacy"]:
-                if results["legacy"][key] != results["batched"][key]:
-                    print(
-                        f"  {key}: legacy={results['legacy'][key]!r} "
-                        f"batched={results['batched'][key]!r}"
-                    )
-            continue
-        events = results["batched"]["events"]
-        print(
-            f"stack  [{backend}] ({events:,} events, trace "
-            f"{results['batched']['trace_sha256'][:12]}...): bit-identical; "
-            f"legacy {events / walls['legacy']:,.0f} ev/s, "
-            f"batched {events / walls['batched']:,.0f} ev/s "
-            f"-> {walls['legacy'] / walls['batched']:.2f}x"
-        )
-
-    for backend in backends:
-        base = {"workload": "partition", "backend": backend, "scale": scale}
-        runs = [_spawn("batched", dict(base, partitions=None))
-                for _ in range(reps)]
-        serial = min(runs, key=lambda r: r["wall"])
-        line = (
-            f"serial {serial['events'] / serial['wall']:,.0f} ev/s"
-        )
+        serial = best_of(reps, run_partition, backend, None, scale)
+        line = f"serial {serial['events'] / serial['wall']:,.0f} ev/s"
         for count in (2, 4):
-            runs = [_spawn("batched", dict(base, partitions=count))
-                    for _ in range(reps)]
-            part = min(runs, key=lambda r: r["wall"])
+            part = best_of(reps, run_partition, backend, count, scale)
             if part["fingerprint"] != serial["fingerprint"]:
                 failed = True
                 print(
@@ -329,7 +128,7 @@ def main(argv=None) -> int:
 
     if failed:
         return 1
-    print("bench_ab OK: cores bit-identical on every workload")
+    print("bench_ab OK: partitioned runs bit-identical to serial")
     return 0
 
 

@@ -4,13 +4,11 @@
 Fails (exit 1) when code under ``src/repro`` — outside ``src/repro/obs``
 itself — reintroduces an ad-hoc tracing pattern:
 
-- ``<anything>.trace.record(`` — the pre-obs inline call-site pattern; the
-  ``TraceRecorder`` facade still exists for *reading* traces, but new events
-  must be emitted via ``ctx.obs.emit(...)``;
-- ``message_log`` — the deprecated private ``Fabric`` log.
+- ``<anything>.trace.record(`` — the pre-obs inline call-site pattern;
+  events must be emitted via ``ctx.obs.emit(...)``;
+- ``message_log`` — the removed private ``Fabric`` log.
 
-A line ending in a ``# obs-allow-adhoc`` pragma is exempt; the legacy
-compatibility shims carry it.  Run as::
+There is no exemption pragma.  Run as::
 
     python tools/check_no_adhoc_tracing.py [root]
 
@@ -35,9 +33,6 @@ PATTERNS = [
     ),
 ]
 
-PRAGMA = "obs-allow-adhoc"
-
-
 def check_tree(root: Path) -> list[str]:
     """Return one violation string per offending line under ``root``."""
     violations = []
@@ -46,8 +41,6 @@ def check_tree(root: Path) -> list[str]:
         if rel.parts and rel.parts[0] == "obs":
             continue  # the bus itself
         for lineno, line in enumerate(path.read_text().splitlines(), 1):
-            if PRAGMA in line:
-                continue
             for pattern, why in PATTERNS:
                 if pattern.search(line):
                     violations.append(f"{path}:{lineno}: {why}\n    {line.strip()}")
@@ -65,7 +58,7 @@ def main(argv: list[str]) -> int:
     if violations:
         print(
             f"\n{len(violations)} ad-hoc tracing pattern(s) found — route them "
-            "through repro.obs (or tag intentional shims with # obs-allow-adhoc)."
+            "through repro.obs."
         )
         return 1
     print("ok: no ad-hoc tracing patterns outside repro/obs")

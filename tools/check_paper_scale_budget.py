@@ -26,10 +26,9 @@ measured value is honestly below 1 — the gate only *fails* when
 ``--enforce-speedup`` is passed, so CI boxes without real parallelism
 record the number without lying about it).  The partitioned record also
 captures the sync-protocol telemetry — ``sync_windows``,
-``coordinator_roundtrips``, and the ``window_batch`` in effect (override
-with ``--window-batch``; 1 reproduces the classic
-two-round-trip-per-window protocol) — and the gate requires at least one
-coordinator progress beat.
+``coordinator_roundtrips``, and the ``window_batch`` in effect (the
+engine's fixed :data:`~repro.sim.partition.WINDOW_BATCH`) — and the gate
+requires at least one coordinator progress beat.
 
 Results land in ``BENCH_scale.json`` next to the repo root (build seconds,
 peak RSS, tasks/flows, and — with ``--full`` — the end-to-end simulated
@@ -45,7 +44,7 @@ Run as::
 
     python tools/check_paper_scale_budget.py [--full] [--nodes 16]
         [--tile 2400] [--build-budget 60] [--rss-budget 4.0]
-        [--partitions 4] [--window-batch K] [--wall-budget 1800]
+        [--partitions 4] [--wall-budget 1800]
         [--out PATH]
 """
 
@@ -140,31 +139,25 @@ def _peak_rss_with_children() -> int:
     return max(peak_rss_bytes(), child)
 
 
-def full_run(nodes: int, tile: int, partitions=None, window_batch=None) -> dict:
+def full_run(nodes: int, tile: int, partitions=None) -> dict:
     """Simulate the paper-scale point end to end; return run metrics.
 
     With ``partitions`` set the run executes under the partitioned PDES
     engine (bit-identical results), the peak-RSS figure includes the
     worker child processes, and the record carries the sync-protocol
     telemetry (``sync_windows``, ``coordinator_roundtrips``,
-    ``window_batch``).  ``window_batch`` overrides the batched sync
-    protocol's default batch length (1 = classic per-window protocol).
+    ``window_batch``).
     """
     from repro.bench.hicma_bench import HicmaConfig, run_hicma_benchmark
-    from repro.config import PartitionConfig, expanse_platform
+    from repro.config import expanse_platform
     from repro.obs.progress import ProgressReporter
 
     cfg = HicmaConfig(matrix_size=PAPER_N, tile_size=tile, num_nodes=nodes)
-    pcfg = partitions
-    if partitions and window_batch is not None:
-        pcfg = PartitionConfig(
-            partitions=int(partitions), window_batch=int(window_batch)
-        )
     reporter = ProgressReporter(interval=10.0, stream=sys.stderr)
     t0 = time.perf_counter()
     result = run_hicma_benchmark(
         "lci", cfg, expanse_platform(num_nodes=nodes), progress=reporter,
-        partitions=pcfg,
+        partitions=partitions,
     )
     wall = time.perf_counter() - t0
     rss = _peak_rss_with_children() if partitions else peak_rss_bytes()
@@ -209,11 +202,6 @@ def main(argv=None) -> int:
     ap.add_argument("--partitions", type=int, default=None, metavar="P",
                     help="also run the --full point under the partitioned "
                          "PDES engine with P workers and gate it")
-    ap.add_argument("--window-batch", type=int, default=None, metavar="K",
-                    help="sync windows per coordinator round-trip for the "
-                         "partitioned run (default: PartitionConfig's "
-                         "batched protocol; 1 = classic per-window "
-                         "protocol)")
     ap.add_argument("--wall-budget", type=float, default=1800.0,
                     help="max wall-clock seconds for a --full run")
     ap.add_argument("--speedup-target", type=float, default=1.5,
@@ -290,10 +278,7 @@ def main(argv=None) -> int:
         if args.partitions:
             import os
 
-            prun = full_run(
-                args.nodes, args.tile, partitions=args.partitions,
-                window_batch=args.window_batch,
-            )
+            prun = full_run(args.nodes, args.tile, partitions=args.partitions)
             speedup = run["run_wall_seconds"] / prun["run_wall_seconds"]
             prun["speedup_vs_serial"] = round(speedup, 3)
             prun["speedup_target"] = args.speedup_target
