@@ -14,14 +14,12 @@ One module per benchmark family:
 - :mod:`repro.bench.report` — comparison/rendering helpers.
 """
 
-from repro.bench import workloads
 from repro.bench.pingpong import PingPongConfig, PingPongResult, run_pingpong_benchmark
 from repro.bench.overlap import OverlapConfig, OverlapResult, run_overlap_benchmark
 from repro.bench.hicma_bench import HicmaConfig, HicmaResult, run_hicma_benchmark
 from repro.bench.report import Comparison
 
 __all__ = [
-    "workloads",
     "PingPongConfig",
     "PingPongResult",
     "run_pingpong_benchmark",

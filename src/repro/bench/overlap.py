@@ -30,6 +30,7 @@ __all__ = [
     "OverlapConfig",
     "OverlapResult",
     "run_overlap_benchmark",
+    "build_overlap_graph",
     "roofline_flops",
     "no_overlap_flops",
 ]
@@ -125,6 +126,21 @@ def no_overlap_flops(cfg: OverlapConfig, platform: PlatformConfig) -> float:
     return flops / (t_compute + t_comm)
 
 
+def build_overlap_graph(cfg: OverlapConfig, platform: PlatformConfig):
+    """The overlap DAG: the unsynchronised ping-pong graph of ``cfg``."""
+    pp_cfg = PingPongConfig(
+        fragment_size=cfg.fragment_size,
+        streams=1,
+        total_bytes=cfg.resolved_total(),
+        iterations=cfg.iterations(),
+        sync=False,  # §6.3: the SYNC task is removed to enable overlap
+        intensity=cfg.intensity(),
+        num_nodes=cfg.num_nodes,
+        seed=cfg.seed,
+    )
+    return build_pingpong_graph(pp_cfg, platform.compute.flops_per_core)
+
+
 def run_overlap_benchmark(
     backend: str,
     cfg: OverlapConfig,
@@ -140,17 +156,7 @@ def run_overlap_benchmark(
     contract as :func:`repro.bench.pingpong.run_pingpong_benchmark`.
     """
     platform = platform or scaled_platform(num_nodes=cfg.num_nodes)
-    pp_cfg = PingPongConfig(
-        fragment_size=cfg.fragment_size,
-        streams=1,
-        total_bytes=cfg.resolved_total(),
-        iterations=cfg.iterations(),
-        sync=False,  # §6.3: the SYNC task is removed to enable overlap
-        intensity=cfg.intensity(),
-        num_nodes=cfg.num_nodes,
-        seed=cfg.seed,
-    )
-    graph = build_pingpong_graph(pp_cfg, platform.compute.flops_per_core)
+    graph = build_overlap_graph(cfg, platform)
     ctx = ParsecContext(
         platform, backend=backend, seed=cfg.seed,
         faults=faults, schedule_policy=schedule_policy,

@@ -41,8 +41,6 @@ _HEADER = 32
 #: RTS/RTR control message size.
 _CTRL = 64
 
-_op_ids = itertools.count()
-
 Completion = Any  # Synchronizer | CompletionQueue | Callable | None
 
 
@@ -60,6 +58,9 @@ class LciWorld:
         self.fabric = fabric
         self.costs = costs or LciCosts()
         self.obs = obs if obs is not None else sim.obs
+        #: Direct-operation ids of this job, shared by its devices: a fresh
+        #: world always starts at 0, whatever ran earlier in the process.
+        self._op_ids = itertools.count()
         self.devices = [LciDevice(self, node) for node in range(fabric.num_nodes)]
         # Deferred wire sends carry their sender-side FIN as a ``_fin``
         # payload hint; the fabric raises it here once the destination NIC
@@ -80,8 +81,11 @@ class _DirectOp:
 
     __slots__ = ("op_id", "peer", "tag", "size", "payload", "comp", "user_ctx")
 
-    def __init__(self, peer: int, tag: int, size: int, payload: Any, comp: Completion, user_ctx: Any):
-        self.op_id = next(_op_ids)
+    def __init__(
+        self, op_id: int, peer: int, tag: int, size: int, payload: Any,
+        comp: Completion, user_ctx: Any,
+    ):
+        self.op_id = op_id
         self.peer = peer
         self.tag = tag
         self.size = size
@@ -156,12 +160,11 @@ class LciDevice:
                 self.sim.call_later(ack, src_dev._push_hw, ("fin", p["sd"]))
                 return
             if self.world.fabric.defers_wire and msg.src != self.node:
-                # Deferred-ejection mode (serial epoch flush or partition
-                # barrier): the delivery time is only resolved at the
-                # destination NIC, so completions are delivery-driven —
-                # the receiver raises its CQE here, and the sender's FIN
-                # is raised from the ``_fin`` payload hint (the fabric's
-                # fin applier serially, a barrier notice when partitioned).
+                # Deferred-ejection mode (epoch flush): the delivery time
+                # is only resolved at the destination NIC, so completions
+                # are delivery-driven — the receiver raises its CQE here,
+                # and the sender's FIN is raised from the ``_fin`` payload
+                # hint by the fabric's fin applier.
                 p = msg.payload
                 if p.get("one_sided"):
                     self._push_hw(("pcomp",) + p["pcomp"])
@@ -284,7 +287,7 @@ class LciDevice:
             self._c_retry_sendd.inc()
             return LCI_ERR_RETRY
         self.send_slots_free -= 1
-        op = _DirectOp(dst, tag, size, data, comp, user_ctx)
+        op = _DirectOp(next(self.world._op_ids), dst, tag, size, data, comp, user_ctx)
         self._send_ops[op.op_id] = op
         yield self.costs.direct_post
         self.world.fabric.send(
@@ -323,7 +326,7 @@ class LciDevice:
             self._c_retry_putd.inc()
             return LCI_ERR_RETRY
         self.send_slots_free -= 1
-        op = _DirectOp(dst, tag, size, data, comp, user_ctx)
+        op = _DirectOp(next(self.world._op_ids), dst, tag, size, data, comp, user_ctx)
         self._send_ops[op.op_id] = op
         yield self.costs.direct_post
         fabric = self.world.fabric
@@ -371,7 +374,7 @@ class LciDevice:
             self._c_retry_recvd.inc()
             return LCI_ERR_RETRY
         self.recv_slots_free -= 1
-        op = _DirectOp(src, tag, size, None, comp, user_ctx)
+        op = _DirectOp(next(self.world._op_ids), src, tag, size, None, comp, user_ctx)
         self._recv_ops[op.op_id] = op
         yield self.costs.direct_post
         # Check unexpected RTS first (handshake may have raced us).

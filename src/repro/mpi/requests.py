@@ -8,7 +8,6 @@ park on it.
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Optional
 
 from repro.errors import MpiError
@@ -16,17 +15,20 @@ from repro.sim.core import Event, Simulator
 
 __all__ = ["Request", "SendRequest", "RecvRequest", "PersistentRecvRequest"]
 
-_req_ids = itertools.count()
-
 
 class Request:
-    """Base request: completion flag + waitable event."""
+    """Base request: completion flag + waitable event.
+
+    ``req_id`` is handed out by the owning :class:`~repro.mpi.world.MpiWorld`
+    (unique within that world); it keys the rank's rendezvous and deferred-
+    completion tables and travels in wire payloads.
+    """
 
     __slots__ = ("sim", "req_id", "done", "event", "active")
 
-    def __init__(self, sim: Simulator):
+    def __init__(self, sim: Simulator, req_id: int):
         self.sim = sim
-        self.req_id = next(_req_ids)
+        self.req_id = req_id
         self.done = False
         self.active = True
         self.event = Event(sim)
@@ -43,8 +45,10 @@ class SendRequest(Request):
 
     __slots__ = ("dst", "tag", "size", "payload", "protocol")
 
-    def __init__(self, sim: Simulator, dst: int, tag: int, size: int, payload: Any):
-        super().__init__(sim)
+    def __init__(
+        self, sim: Simulator, req_id: int, dst: int, tag: int, size: int, payload: Any
+    ):
+        super().__init__(sim, req_id)
         self.dst = dst
         self.tag = tag
         self.size = size
@@ -58,8 +62,11 @@ class RecvRequest(Request):
 
     __slots__ = ("src", "tag", "max_size", "source", "recv_tag", "recv_size", "payload")
 
-    def __init__(self, sim: Simulator, src: Optional[int], tag: Optional[int], max_size: int):
-        super().__init__(sim)
+    def __init__(
+        self, sim: Simulator, req_id: int, src: Optional[int], tag: Optional[int],
+        max_size: int,
+    ):
+        super().__init__(sim, req_id)
         self.src = src  # None = MPI_ANY_SOURCE
         self.tag = tag  # None = MPI_ANY_TAG
         self.max_size = max_size
@@ -78,8 +85,11 @@ class PersistentRecvRequest(RecvRequest):
 
     __slots__ = ()
 
-    def __init__(self, sim: Simulator, src: Optional[int], tag: Optional[int], max_size: int):
-        super().__init__(sim, src, tag, max_size)
+    def __init__(
+        self, sim: Simulator, req_id: int, src: Optional[int], tag: Optional[int],
+        max_size: int,
+    ):
+        super().__init__(sim, req_id, src, tag, max_size)
         self.active = False  # must be started first
 
     def _rearm(self) -> None:

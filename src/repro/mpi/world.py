@@ -25,6 +25,7 @@ Key modelled behaviours (matching the paper's description of Open MPI):
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from typing import Any, Generator, Optional, Sequence
 
@@ -76,6 +77,9 @@ class MpiWorld:
         self.costs = costs or MpiCosts()
         self.allow_overtaking = allow_overtaking
         self.obs = obs if obs is not None else sim.obs
+        #: Request ids of this job, shared by its ranks: a fresh world
+        #: always starts at 0, whatever ran earlier in the process.
+        self._req_ids = itertools.count()
         self.ranks = [
             MpiRank(self, rank) for rank in range(fabric.num_nodes)
         ]
@@ -210,7 +214,9 @@ class MpiRank:
             raise MpiError("negative send size")
         yield from self._acquire()
         try:
-            sreq = SendRequest(self.sim, dst, tag, size, payload)
+            sreq = SendRequest(
+                self.sim, next(self.world._req_ids), dst, tag, size, payload
+            )
             if size <= self.costs.rendezvous_threshold:
                 sreq.protocol = "eager"
                 self._c_eager.inc()
@@ -271,7 +277,9 @@ class MpiRank:
         """Non-blocking receive; ``src=None`` is ``MPI_ANY_SOURCE``."""
         yield from self._acquire()
         try:
-            rreq = RecvRequest(self.sim, src, tag, max_size)
+            rreq = RecvRequest(
+                self.sim, next(self.world._req_ids), src, tag, max_size
+            )
             yield self.costs.post_request
             env = self.match.post_recv(rreq)
             if env is not None:
@@ -286,7 +294,9 @@ class MpiRank:
         self, src: Optional[int], tag: Optional[int], max_size: int
     ) -> PersistentRecvRequest:
         """Create (but do not start) a persistent receive."""
-        return PersistentRecvRequest(self.sim, src, tag, max_size)
+        return PersistentRecvRequest(
+            self.sim, next(self.world._req_ids), src, tag, max_size
+        )
 
     def start(self, preq: PersistentRecvRequest) -> Generator:
         """Arm (or re-arm) a persistent receive — ``MPI_Start``."""
@@ -369,7 +379,7 @@ class MpiRank:
             raise MpiError(f"invalid RMA target rank {dst}")
         yield from self._acquire()
         try:
-            req = Request(self.sim)
+            req = Request(self.sim, next(self.world._req_ids))
             yield self.costs.rma_put_post
             fabric = self.world.fabric
             wire_payload = {"kind": "rma_put", "size": size, "data": payload}
@@ -379,9 +389,9 @@ class MpiRank:
                 # origin-side completion at actual delivery (see _on_wire).
                 wire_payload["req"] = req
             elif deferred:
-                # Deferred wire put (serial epoch flush or partitioned
-                # barrier): origin completion is applied one ack latency
-                # after the resolved delivery via the ``_fin`` hint.
+                # Deferred wire put (epoch flush): origin completion is
+                # applied one ack latency after the resolved delivery via
+                # the ``_fin`` hint.
                 ack = fabric.base_latency(dst, self.rank)
                 wire_payload["_fin"] = (req.req_id, ack)
                 self._pending_fin[req.req_id] = ("rma", req)
@@ -490,10 +500,9 @@ class MpiRank:
             deferred = fabric.defers_wire and sreq.dst != self.rank
             if deferred:
                 # Deferred wire send: local completion is modelled at data
-                # delivery, which is only resolved at ejection (the serial
-                # epoch flush, or the destination partition's barrier
-                # deliver) — it comes back through the ``_fin`` hint
-                # (extra 0.0 keeps the timestamp identical).
+                # delivery, which is only resolved at ejection (the epoch
+                # flush) — it comes back through the ``_fin`` hint (extra
+                # 0.0 keeps the timestamp identical).
                 rdata_payload["_fin"] = (sreq.req_id, 0.0)
                 self._pending_fin[sreq.req_id] = ("send", sreq)
             deliver = fabric.send(
@@ -569,9 +578,8 @@ class MpiRank:
         """Apply a deferred source-side completion (``_fin`` hint).
 
         ``ref`` is the ``req_id`` registered in ``_pending_fin`` when the
-        send/put was issued.  The serial fabric's epoch flush and the
-        partition driver's barrier notices both land here, at the same
-        timestamp by construction.
+        send/put was issued; the fabric's epoch flush schedules this call
+        once the destination NIC has resolved the delivery time.
         """
         kind, req = self._pending_fin.pop(ref)
         if kind == "send":

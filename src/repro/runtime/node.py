@@ -426,7 +426,6 @@ class NodeRuntime:
             # Priority decides when the GET DATA goes out (§4.1); the comm
             # thread drains this queue highest-priority-first.
             self.getdata_q.try_put((-state.priority, (fid, state.holder)))
-        self.ctx.stats_activate_flows += len(msg)
 
     def _getdata_cb(self, engine, tag, msg, size, src, cb_data) -> Generator:
         """Serve a GET DATA: put the flow's data back to the requester."""

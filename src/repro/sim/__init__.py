@@ -7,9 +7,8 @@ and are resumed when those complete.  Tie-breaking is by schedule order, so
 every run is bit-for-bit reproducible.
 
 Kernel construction goes through :func:`build_simulator` — the one public
-constructor, and the one place that knows about both the serial
-epoch-batched core and the partitioned (PDES) worker kernel.  Internal
-modules import the class from :mod:`repro.sim.core`.
+constructor of the epoch-batched core.  Internal modules import the class
+from :mod:`repro.sim.core`.
 """
 
 from repro.sim.core import Simulator as _CoreSimulator
@@ -55,27 +54,11 @@ __all__ = [
 ]
 
 
-def build_simulator(config=None, *, obs=None, policy=None):
-    """Build the right DES kernel for a run — the one construction point.
+def build_simulator(*, obs=None, policy=None):
+    """Build the DES kernel for a run — the one construction point.
 
-    ``config`` is ``None`` for a serial in-process run (returns the core
-    :class:`~repro.sim.core.Simulator`) or a
-    :class:`~repro.config.PartitionConfig` for a partitioned run (returns
-    a :class:`~repro.sim.partition.PartitionSimulator`, the window-capable
-    kernel a partition worker drives).  ``obs``/``policy`` forward to the
-    kernel constructor unchanged.
+    Returns the core :class:`~repro.sim.core.Simulator`; ``obs``/``policy``
+    forward to its constructor unchanged.
     """
-    if config is None:
-        return _CoreSimulator(obs=obs, policy=policy)
-    from repro.config import PartitionConfig
-    from repro.errors import ConfigError
-
-    if not isinstance(config, PartitionConfig):
-        raise ConfigError(
-            f"build_simulator expects a PartitionConfig or None, "
-            f"got {type(config).__name__}"
-        )
-    from repro.sim.partition import PartitionSimulator
-
-    return PartitionSimulator(obs=obs, policy=policy)
+    return _CoreSimulator(obs=obs, policy=policy)
 

@@ -508,9 +508,8 @@ class Simulator:
 
         The exact-timestamp twin of :meth:`call_later`, for callers that
         must hit a precomputed absolute time without the ``now + (when -
-        now)`` float round-trip — the partitioned engine injects remote
-        deliveries and completion notices this way so their event times
-        are bit-identical to the serial kernel's.
+        now)`` float round-trip — the fabric's epoch flush schedules wire
+        deliveries and completion notices this way.
         """
         if when < self.now:
             raise SimulationError(
@@ -532,28 +531,16 @@ class Simulator:
         callback may schedule new work (at ``now`` or later) and may
         re-register itself; the loop re-checks for both before moving on.
 
-        This is the hook the serial :class:`~repro.network.fabric.Fabric`
-        uses to defer destination-NIC ejection to the end of the send's
-        epoch, so equal-timestamp wire sends eject in the canonical
-        ``(inject, src, seq)`` order — the same total order the partitioned
-        engine's barrier merge replays (see ``repro.sim.partition``).
+        This is the hook :class:`~repro.network.fabric.Fabric` uses to
+        defer destination-NIC ejection to the end of the send's epoch, so
+        equal-timestamp wire sends arriving at one NIC eject in the
+        canonical ``(inject, src, seq)`` order rather than in the order the
+        senders happened to run within the epoch.
 
         Callbacks registered while no :meth:`run` is active fire at the end
         of the first epoch of the next :meth:`run` call.
         """
         self._epoch_cbs.append(fn)
-
-    def next_event_time(self) -> float:
-        """Timestamp of the earliest pending entry (``inf`` when idle).
-
-        Current-time batch entries report ``now``; otherwise the heap head.
-        Only meaningful between :meth:`run` calls — the conservative-
-        synchronization coordinator polls this to compute the next safe
-        horizon.
-        """
-        if self._ready:
-            return self.now
-        return self._heap[0][0] if self._heap else math.inf
 
     # -- public API ------------------------------------------------------
 
@@ -593,8 +580,8 @@ class Simulator:
         as read-only.  With no tick installed the run loop pays only one
         integer compare per iteration.
 
-        A tick callback **may raise** to abort the run: both kernels
-        guarantee the exception propagates out of :meth:`run` with the
+        A tick callback **may raise** to abort the run: both run loops
+        (default and policy-driven) guarantee the exception propagates out of :meth:`run` with the
         simulator left consistent (clock, event count, and pending events
         reflect everything dispatched before the abort), so a supervisor
         (:class:`repro.supervise.guards.RunGuards`) can budget-limit a run

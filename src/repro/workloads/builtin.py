@@ -50,7 +50,7 @@ def _freeze_hicma(raw, backend):
     """Reduce the raw bench result to :class:`~repro.api.HicmaResult`."""
     from repro.api import HicmaResult
 
-    result = HicmaResult(
+    return HicmaResult(
         workload="hicma",
         backend=backend,
         makespan=raw.time_to_solution,
@@ -62,12 +62,6 @@ def _freeze_hicma(raw, backend):
         wire_bytes=raw.wire_bytes,
         worker_utilization=raw.worker_utilization,
     )
-    sync = getattr(raw, "partition_sync", None)
-    if sync is not None:
-        # Frozen dataclass; telemetry rides along undeclared so asdict()
-        # fingerprints stay engine-agnostic.
-        object.__setattr__(result, "partition_sync", sync)
-    return result
 
 
 def _pingpong_graph(cfg, platform):
@@ -75,40 +69,6 @@ def _pingpong_graph(cfg, platform):
     from repro.bench.pingpong import build_pingpong_graph
 
     return build_pingpong_graph(cfg, platform.compute.flops_per_core)
-
-
-def _overlap_graph(cfg, platform):
-    """The overlap DAG: the unsynchronised ping-pong graph the driver runs."""
-    from repro.bench.overlap import PingPongConfig, build_pingpong_graph
-
-    pp_cfg = PingPongConfig(
-        fragment_size=cfg.fragment_size,
-        streams=1,
-        total_bytes=cfg.resolved_total(),
-        iterations=cfg.iterations(),
-        sync=False,
-        intensity=cfg.intensity(),
-        num_nodes=cfg.num_nodes,
-        seed=cfg.seed,
-    )
-    return build_pingpong_graph(pp_cfg, platform.compute.flops_per_core)
-
-
-def _hicma_graph(cfg, platform):
-    """The TLR Cholesky DAG, as the driver would build it."""
-    from repro.hicma.dag import build_tlr_cholesky_graph
-    from repro.hicma.ranks import RankModel
-    from repro.hicma.timing import KernelTimeModel
-
-    return build_tlr_cholesky_graph(
-        cfg.nt,
-        cfg.tile_size,
-        num_nodes=cfg.num_nodes,
-        rank_model=RankModel(cfg.nt, cfg.tile_size, cfg.maxrank),
-        time_model=KernelTimeModel(platform.compute),
-        maxrank=cfg.maxrank,
-        two_flow=cfg.two_flow,
-    )
 
 
 PINGPONG = register(WorkloadSpec(
@@ -169,7 +129,7 @@ OVERLAP = register(WorkloadSpec(
     config="repro.bench.overlap:OverlapConfig",
     driver="repro.bench.overlap:run_overlap_benchmark",
     reducer="repro.workloads.builtin:_freeze_overlap",
-    graph="repro.workloads.builtin:_overlap_graph",
+    graph="repro.bench.overlap:build_overlap_graph",
     param_docs=(
         ("fragment_size", "Bytes per fragment (the Figure sweep axis)."),
         ("total_bytes", "Total data per iteration (None = scale default)."),
@@ -205,7 +165,7 @@ HICMA = register(WorkloadSpec(
     config="repro.bench.hicma_bench:HicmaConfig",
     driver="repro.bench.hicma_bench:run_hicma_benchmark",
     reducer="repro.workloads.builtin:_freeze_hicma",
-    graph="repro.workloads.builtin:_hicma_graph",
+    graph="repro.bench.hicma_bench:build_hicma_graph",
     param_docs=(
         ("matrix_size", "Matrix dimension N (must divide by tile_size)."),
         ("tile_size", "Tile dimension (the Figure 4 sweep axis)."),
@@ -222,6 +182,5 @@ HICMA = register(WorkloadSpec(
         ("tile_size", 1200),
     ),
     accepts_progress=True,
-    accepts_partitions=True,
     tags=("paper", "builtin"),
 ))

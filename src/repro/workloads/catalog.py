@@ -1,16 +1,16 @@
-"""The bundled scenario workloads: configs, drivers, and registrations.
+"""The bundled scenario workloads: configs, graph builders, registrations.
 
 Ten parameterized task-graph scenarios beyond the paper's three
-benchmarks — the §2.1 generators of :mod:`repro.bench.workloads`
-(``chain``/``fanout``/``halo``/``randomdag``/``alltoall``) promoted into
-registered workloads, plus the related-work patterns from
-:mod:`repro.workloads.generators`: a FleCSI-like 2D ``stencil``, a
-collective ``tree``, a nearest-neighbor ``ring``, a spawn-heavy
-``forkjoin``, and the Task Bench-style ``taskbench`` tunable graph.
+benchmarks, all built by :mod:`repro.workloads.generators`: the §2.1
+patterns (``chain``/``fanout``/``halo``/``randomdag``/``alltoall``) plus
+the related-work ones — a FleCSI-like 2D ``stencil``, a collective
+``tree``, a nearest-neighbor ``ring``, a spawn-heavy ``forkjoin``, and
+the Task Bench-style ``taskbench`` tunable graph.
 
-Every workload here shares one driver shape
-(:func:`~repro.workloads.runner.run_graph_benchmark`) and one reducer
-(:func:`~repro.workloads.runner.freeze_graph_result` →
+No spec here names a ``driver``: each registers a graph builder that
+:meth:`~repro.workloads.registry.WorkloadSpec.run` executes through
+:func:`~repro.workloads.runner.run_graph_benchmark`, and all share one
+reducer (:func:`~repro.workloads.runner.freeze_graph_result` →
 :class:`~repro.api.GraphResult`), so the whole catalog runs under
 sweeps, chaos plans, explore, and run guards with no per-workload glue.
 """
@@ -23,7 +23,6 @@ from repro.codec import DictCodec
 from repro.errors import ConfigError
 from repro.units import KiB
 from repro.workloads.registry import WorkloadSpec, register
-from repro.workloads.runner import run_graph_benchmark
 
 __all__ = [
     "ChainConfig",
@@ -45,7 +44,7 @@ def _positive(name: str, value, minimum=1) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Promoted §2.1 generators (repro.bench.workloads)
+# §2.1 patterns
 # ---------------------------------------------------------------------------
 
 
@@ -66,19 +65,9 @@ class ChainConfig(DictCodec):
 
 
 def _chain_graph(cfg: ChainConfig, platform):
-    from repro.bench.workloads import chain
+    from repro.workloads.generators import chain
 
     return chain(cfg.length, cfg.num_nodes, cfg.flow_bytes, cfg.duration)
-
-
-def run_chain_benchmark(backend, cfg, platform=None, *, faults=None,
-                        schedule_policy=None, ctx_observer=None,
-                        partitions=None):
-    """Run the ``chain`` workload (see :class:`ChainConfig`)."""
-    return run_graph_benchmark(
-        "chain", _chain_graph, backend, cfg, platform, faults=faults,
-        schedule_policy=schedule_policy, ctx_observer=ctx_observer,
-        partitions=partitions)
 
 
 @dataclass(frozen=True)
@@ -98,20 +87,10 @@ class FanOutConfig(DictCodec):
 
 
 def _fanout_graph(cfg: FanOutConfig, platform):
-    from repro.bench.workloads import fan_out
+    from repro.workloads.generators import fan_out
 
     return fan_out(cfg.consumers_per_node, cfg.num_nodes, cfg.flow_bytes,
                    cfg.duration)
-
-
-def run_fanout_benchmark(backend, cfg, platform=None, *, faults=None,
-                         schedule_policy=None, ctx_observer=None,
-                         partitions=None):
-    """Run the ``fanout`` workload (see :class:`FanOutConfig`)."""
-    return run_graph_benchmark(
-        "fanout", _fanout_graph, backend, cfg, platform, faults=faults,
-        schedule_policy=schedule_policy, ctx_observer=ctx_observer,
-        partitions=partitions)
 
 
 @dataclass(frozen=True)
@@ -132,20 +111,10 @@ class HaloConfig(DictCodec):
 
 
 def _halo_graph(cfg: HaloConfig, platform):
-    from repro.bench.workloads import halo_exchange
+    from repro.workloads.generators import halo_exchange
 
     return halo_exchange(cfg.num_nodes, cfg.steps, cfg.tiles_per_node,
                          cfg.halo_bytes, cfg.duration)
-
-
-def run_halo_benchmark(backend, cfg, platform=None, *, faults=None,
-                       schedule_policy=None, ctx_observer=None,
-                       partitions=None):
-    """Run the ``halo`` workload (see :class:`HaloConfig`)."""
-    return run_graph_benchmark(
-        "halo", _halo_graph, backend, cfg, platform, faults=faults,
-        schedule_policy=schedule_policy, ctx_observer=ctx_observer,
-        partitions=partitions)
 
 
 @dataclass(frozen=True)
@@ -168,21 +137,11 @@ class RandomDagConfig(DictCodec):
 
 
 def _randomdag_graph(cfg: RandomDagConfig, platform):
-    from repro.bench.workloads import random_layered_dag
+    from repro.workloads.generators import random_layered_dag
 
     return random_layered_dag(
         [cfg.width] * cfg.layers, cfg.num_nodes, cfg.fan_in,
         cfg.flow_bytes, cfg.duration, seed=cfg.seed)
-
-
-def run_randomdag_benchmark(backend, cfg, platform=None, *, faults=None,
-                            schedule_policy=None, ctx_observer=None,
-                            partitions=None):
-    """Run the ``randomdag`` workload (see :class:`RandomDagConfig`)."""
-    return run_graph_benchmark(
-        "randomdag", _randomdag_graph, backend, cfg, platform, faults=faults,
-        schedule_policy=schedule_policy, ctx_observer=ctx_observer,
-        partitions=partitions)
 
 
 @dataclass(frozen=True)
@@ -201,24 +160,14 @@ class AllToAllConfig(DictCodec):
 
 
 def _alltoall_graph(cfg: AllToAllConfig, platform):
-    from repro.bench.workloads import all_to_all_rounds
+    from repro.workloads.generators import all_to_all_rounds
 
     return all_to_all_rounds(cfg.num_nodes, cfg.rounds, cfg.flow_bytes,
                              cfg.duration)
 
 
-def run_alltoall_benchmark(backend, cfg, platform=None, *, faults=None,
-                           schedule_policy=None, ctx_observer=None,
-                           partitions=None):
-    """Run the ``alltoall`` workload (see :class:`AllToAllConfig`)."""
-    return run_graph_benchmark(
-        "alltoall", _alltoall_graph, backend, cfg, platform, faults=faults,
-        schedule_policy=schedule_policy, ctx_observer=ctx_observer,
-        partitions=partitions)
-
-
 # ---------------------------------------------------------------------------
-# New related-work scenarios (repro.workloads.generators)
+# Related-work scenarios
 # ---------------------------------------------------------------------------
 
 
@@ -249,16 +198,6 @@ def _stencil_graph(cfg: StencilConfig, platform):
 
     return stencil2d(cfg.grid, cfg.steps, cfg.num_nodes, cfg.halo_bytes,
                      cfg.duration)
-
-
-def run_stencil_benchmark(backend, cfg, platform=None, *, faults=None,
-                          schedule_policy=None, ctx_observer=None,
-                          partitions=None):
-    """Run the ``stencil`` workload (see :class:`StencilConfig`)."""
-    return run_graph_benchmark(
-        "stencil", _stencil_graph, backend, cfg, platform, faults=faults,
-        schedule_policy=schedule_policy, ctx_observer=ctx_observer,
-        partitions=partitions)
 
 
 @dataclass(frozen=True)
@@ -293,16 +232,6 @@ def _tree_graph(cfg: TreeConfig, platform):
                            cfg.payload_bytes, cfg.duration, cfg.mode)
 
 
-def run_tree_benchmark(backend, cfg, platform=None, *, faults=None,
-                       schedule_policy=None, ctx_observer=None,
-                       partitions=None):
-    """Run the ``tree`` workload (see :class:`TreeConfig`)."""
-    return run_graph_benchmark(
-        "tree", _tree_graph, backend, cfg, platform, faults=faults,
-        schedule_policy=schedule_policy, ctx_observer=ctx_observer,
-        partitions=partitions)
-
-
 @dataclass(frozen=True)
 class RingConfig(DictCodec):
     """One nearest-neighbor ring-shift execution."""
@@ -322,16 +251,6 @@ def _ring_graph(cfg: RingConfig, platform):
     from repro.workloads.generators import ring_shift
 
     return ring_shift(cfg.num_nodes, cfg.steps, cfg.flow_bytes, cfg.duration)
-
-
-def run_ring_benchmark(backend, cfg, platform=None, *, faults=None,
-                       schedule_policy=None, ctx_observer=None,
-                       partitions=None):
-    """Run the ``ring`` workload (see :class:`RingConfig`)."""
-    return run_graph_benchmark(
-        "ring", _ring_graph, backend, cfg, platform, faults=faults,
-        schedule_policy=schedule_policy, ctx_observer=ctx_observer,
-        partitions=partitions)
 
 
 @dataclass(frozen=True)
@@ -356,16 +275,6 @@ def _forkjoin_graph(cfg: ForkJoinConfig, platform):
 
     return fork_join(cfg.fanout, cfg.depth, cfg.num_nodes, cfg.flow_bytes,
                      cfg.duration)
-
-
-def run_forkjoin_benchmark(backend, cfg, platform=None, *, faults=None,
-                           schedule_policy=None, ctx_observer=None,
-                           partitions=None):
-    """Run the ``forkjoin`` workload (see :class:`ForkJoinConfig`)."""
-    return run_graph_benchmark(
-        "forkjoin", _forkjoin_graph, backend, cfg, platform, faults=faults,
-        schedule_policy=schedule_policy, ctx_observer=ctx_observer,
-        partitions=partitions)
 
 
 @dataclass(frozen=True)
@@ -407,16 +316,6 @@ def _taskbench_graph(cfg: TaskBenchConfig, platform):
                            cfg.seed)
 
 
-def run_taskbench_benchmark(backend, cfg, platform=None, *, faults=None,
-                            schedule_policy=None, ctx_observer=None,
-                            partitions=None):
-    """Run the ``taskbench`` workload (see :class:`TaskBenchConfig`)."""
-    return run_graph_benchmark(
-        "taskbench", _taskbench_graph, backend, cfg, platform, faults=faults,
-        schedule_policy=schedule_policy, ctx_observer=ctx_observer,
-        partitions=partitions)
-
-
 # ---------------------------------------------------------------------------
 # Registrations
 # ---------------------------------------------------------------------------
@@ -435,9 +334,7 @@ register(WorkloadSpec(
     dag="[t0]@n0 --flow--> [t1]@n1 --flow--> [t2]@n2 --flow--> ...",
     example="python -m repro run chain --nodes 4 --length 128",
     config="repro.workloads.catalog:ChainConfig",
-    driver="repro.workloads.catalog:run_chain_benchmark",
     reducer=_REDUCER,
-    accepts_partitions=True,
     graph="repro.workloads.catalog:_chain_graph",
     param_docs=(
         ("length", "Tasks in the chain."),
@@ -465,9 +362,7 @@ register(WorkloadSpec(
         [c]@n0 [c]@n1 [c]@n2 ...  (consumers_per_node per node)""",
     example="python -m repro run fanout --nodes 8 --consumers-per-node 16",
     config="repro.workloads.catalog:FanOutConfig",
-    driver="repro.workloads.catalog:run_fanout_benchmark",
     reducer=_REDUCER,
-    accepts_partitions=True,
     graph="repro.workloads.catalog:_fanout_graph",
     param_docs=(
         ("consumers_per_node", "Consumer tasks per node."),
@@ -495,9 +390,7 @@ step s:   [tile0..tileT]@n0  <-halo->  [tile0..tileT]@n1  <-halo-> ...
 step s+1: [tile0..tileT]@n0  <-halo->  ...""",
     example="python -m repro run halo --nodes 4 --steps 16",
     config="repro.workloads.catalog:HaloConfig",
-    driver="repro.workloads.catalog:run_halo_benchmark",
     reducer=_REDUCER,
-    accepts_partitions=True,
     graph="repro.workloads.catalog:_halo_graph",
     param_docs=(
         ("steps", "Stencil steps (DAG depth)."),
@@ -526,9 +419,7 @@ layer 0: [t]@n? [t]@n? ... (width tasks, random nodes)
 layer 1: [t]@n? [t]@n? ...  parents from the layer above)""",
     example="python -m repro run randomdag --nodes 4 --layers 12 --width 24",
     config="repro.workloads.catalog:RandomDagConfig",
-    driver="repro.workloads.catalog:run_randomdag_benchmark",
     reducer=_REDUCER,
-    accepts_partitions=True,
     graph="repro.workloads.catalog:_randomdag_graph",
     param_docs=(
         ("layers", "DAG depth (number of layers)."),
@@ -558,9 +449,7 @@ round r:   [t]@n0   [t]@n1   [t]@n2
 round r+1: [t]@n0   [t]@n1   [t]@n2    every node's next task)""",
     example="python -m repro run alltoall --nodes 8 --rounds 4",
     config="repro.workloads.catalog:AllToAllConfig",
-    driver="repro.workloads.catalog:run_alltoall_benchmark",
     reducer=_REDUCER,
-    accepts_partitions=True,
     graph="repro.workloads.catalog:_alltoall_graph",
     param_docs=(
         ("rounds", "Exchange rounds (DAG depth)."),
@@ -590,9 +479,7 @@ node 0:  rows 0..k      | halos cross this boundary
 node 1:  rows k+1..2k   | every step""",
     example="python -m repro run stencil --nodes 16",
     config="repro.workloads.catalog:StencilConfig",
-    driver="repro.workloads.catalog:run_stencil_benchmark",
     reducer=_REDUCER,
-    accepts_partitions=True,
     graph="repro.workloads.catalog:_stencil_graph",
     param_docs=(
         ("grid", "Tiles per side (the mesh is grid × grid)."),
@@ -621,9 +508,7 @@ broadcast:        [root] -> ... -> [leaf]x(fanout^depth)
 allreduce:  leaves -> [root] -> leaves   (per round)""",
     example="python -m repro run tree --nodes 8 --fanout 4 --depth 3",
     config="repro.workloads.catalog:TreeConfig",
-    driver="repro.workloads.catalog:run_tree_benchmark",
     reducer=_REDUCER,
-    accepts_partitions=True,
     graph="repro.workloads.catalog:_tree_graph",
     param_docs=(
         ("fanout", "Tree arity (children per vertex)."),
@@ -655,9 +540,7 @@ step s:   [t]@n0 -> [t]@n1 -> [t]@n2 -> ... -> (wraps to n0)
 step s+1: [t]@n0 -> [t]@n1 -> [t]@n2    next step)""",
     example="python -m repro run ring --nodes 8 --steps 32",
     config="repro.workloads.catalog:RingConfig",
-    driver="repro.workloads.catalog:run_ring_benchmark",
     reducer=_REDUCER,
-    accepts_partitions=True,
     graph="repro.workloads.catalog:_ring_graph",
     param_docs=(
         ("steps", "Shift steps (DAG depth)."),
@@ -686,9 +569,7 @@ register(WorkloadSpec(
 [sink] <- joins of fanout  <- ... <-  (mirror tree back up)""",
     example="python -m repro run forkjoin --nodes 8 --fanout 3 --depth 5",
     config="repro.workloads.catalog:ForkJoinConfig",
-    driver="repro.workloads.catalog:run_forkjoin_benchmark",
     reducer=_REDUCER,
-    accepts_partitions=True,
     graph="repro.workloads.catalog:_forkjoin_graph",
     param_docs=(
         ("fanout", "Children per fork (and join arity)."),
@@ -723,9 +604,7 @@ layer 1:  [c0] [c1] [c2] ... [cW]   fft: butterfly; ...)""",
         "--pattern stencil"
     ),
     config="repro.workloads.catalog:TaskBenchConfig",
-    driver="repro.workloads.catalog:run_taskbench_benchmark",
     reducer=_REDUCER,
-    accepts_partitions=True,
     graph="repro.workloads.catalog:_taskbench_graph",
     param_docs=(
         ("width", "Columns (parallel tasks per layer)."),

@@ -86,7 +86,9 @@ class WorkloadSpec:
       schedule_policy=None, ctx_observer=None)`` executes one run and
       returns a raw (mutable) result; drivers with
       ``accepts_progress=True`` additionally take ``progress=``/
-      ``guards=`` keywords.
+      ``guards=`` keywords.  A spec without a ``driver`` runs its
+      ``graph`` builder through
+      :func:`~repro.workloads.runner.run_graph_benchmark`.
     - ``reducer(raw, backend)`` freezes the raw result into the typed
       public dataclass ``Experiment.run()`` returns.
     - ``graph(config, platform)`` builds the workload's
@@ -109,7 +111,8 @@ class WorkloadSpec:
     example: str = ""
     #: Config dataclass (or lazy ref): fields = the parameter schema.
     config: Any = None
-    #: Benchmark driver (or lazy ref).
+    #: Benchmark driver (or lazy ref); ``None`` runs the ``graph`` builder
+    #: through the generic task-graph driver.
     driver: Any = None
     #: Typed result reducer (or lazy ref).
     reducer: Any = None
@@ -121,8 +124,6 @@ class WorkloadSpec:
     explore_params: tuple = ()
     #: Driver takes ``progress=``/``guards=`` keywords (long-running).
     accepts_progress: bool = False
-    #: Driver takes a ``partitions=`` keyword (partitioned PDES engine).
-    accepts_partitions: bool = False
     #: Free-form labels (``"paper"``, ``"taskbench"``, ``"collective"``).
     tags: tuple = ()
 
@@ -201,16 +202,13 @@ class WorkloadSpec:
         ctx_observer: Any = None,
         progress: Any = None,
         guards: Any = None,
-        partitions: Any = None,
     ):
         """Execute one run through the workload's driver.
 
         ``progress``/``guards`` are forwarded only to drivers declaring
         ``accepts_progress``; passing them to any other workload raises
         :class:`~repro.errors.ConfigError` instead of silently dropping
-        a supervision request.  ``partitions`` (partitioned PDES engine)
-        likewise requires ``accepts_partitions`` — an unsupported
-        workload fails loudly rather than silently running serial.
+        a supervision request.
         """
         kwargs = {
             "faults": faults,
@@ -225,13 +223,12 @@ class WorkloadSpec:
                 f"workload {self.name!r} does not support progress "
                 f"reporting or run guards"
             )
-        if partitions is not None:
-            if not self.accepts_partitions:
-                raise ConfigError(
-                    f"workload {self.name!r} does not support partitioned "
-                    f"execution (partitions=...)"
-                )
-            kwargs["partitions"] = partitions
+        if self.driver is None:
+            from repro.workloads.runner import run_graph_benchmark
+
+            return run_graph_benchmark(
+                self.name, self.build_graph, backend, config, platform, **kwargs
+            )
         return self.driver_fn()(backend, config, platform, **kwargs)
 
     def freeze(self, raw: Any, backend: str):

@@ -181,6 +181,11 @@ class TestRunVerb:
         assert main(["run", "chain", "--width", "9"]) == 2
         err = capsys.readouterr().err
         assert "does not accept" in err and "width" in err
+        # The removed partitioned-engine flag is refused by argparse.
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "ring", "--partitions", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_run_under_fault_plan(self, capsys):
         assert main(["run", "ring", "--steps", "4", "--nodes", "3",

@@ -12,7 +12,7 @@ import itertools
 
 import pytest
 
-from repro.bench.workloads import random_layered_dag
+from repro.workloads.generators import random_layered_dag
 from repro.config import scaled_platform
 from repro.runtime import ParsecContext
 
@@ -63,3 +63,31 @@ def test_timings_differ_between_backends(runs):
     """Sanity that the matrix isn't vacuous: timing DOES vary."""
     makespans = {i: stats.makespan for i, (_k, stats, _g) in runs.items()}
     assert len(set(round(m, 9) for m in makespans.values())) > 1
+
+
+def _first_ids():
+    """The first MPI request id and LCI direct-op id a new world issues."""
+    from repro.lci.device import LciWorld
+    from repro.mpi.world import MpiWorld
+    from repro.network.fabric import Fabric
+    from repro.sim.core import Simulator
+
+    sim = Simulator()
+    fabric = Fabric(sim, 2)
+    req = MpiWorld(sim, fabric).ranks[0].recv_init(1, 7, 64)
+    device = LciWorld(sim, fabric).devices[0]
+    sim.process(device.recvd(1, 7, 64))
+    sim.run()
+    (op_id,) = device._recv_ops
+    return req.req_id, op_id
+
+
+def test_fresh_world_ids_independent_of_earlier_runs(runs):
+    # Request and op ids belong to their world: a world built after other
+    # runs in this process hands out the same first ids as the first world
+    # of a fresh process, (0, 0).
+    from repro.api import Experiment
+
+    for backend in ("mpi", "lci"):
+        Experiment(workload="ring", backend=backend, nodes=2, steps=2).run()
+    assert _first_ids() == (0, 0)

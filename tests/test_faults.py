@@ -269,7 +269,7 @@ class TestPoolSpikes:
 
 class TestDisabledIsIdentical:
     def test_disabled_plan_run_matches_no_plan(self):
-        from repro.bench.workloads import random_layered_dag
+        from repro.workloads.generators import random_layered_dag
         from repro.config import scaled_platform
         from repro.runtime import ParsecContext
 

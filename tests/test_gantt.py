@@ -3,7 +3,7 @@
 import pytest
 
 from repro.analysis.gantt import Interval, occupancy, render_gantt, worker_intervals
-from repro.bench.workloads import chain, fan_out
+from repro.workloads.generators import chain, fan_out
 from repro.config import scaled_platform
 from repro.runtime import ParsecContext
 from repro.obs import ObsBus

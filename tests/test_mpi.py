@@ -21,7 +21,7 @@ def make_world(n=2, costs=None):
 
 class TestMatchEngine:
     def _recv(self, src=None, tag=None, size=1 << 20):
-        return RecvRequest(Simulator(), src, tag, size)
+        return RecvRequest(Simulator(), 0, src, tag, size)
 
     def test_post_then_arrive(self):
         m = MatchEngine()

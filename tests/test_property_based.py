@@ -95,7 +95,7 @@ class TestMatchingProperties:
         for op, src, tag, wild in ops:
             if op == "post":
                 n_posts += 1
-                recv = RecvRequest(sim, None if wild else src, tag, 1 << 20)
+                recv = RecvRequest(sim, n_posts, None if wild else src, tag, 1 << 20)
                 env = engine.post_recv(recv)
                 if env is not None:
                     matches.append((recv, env))
@@ -127,7 +127,7 @@ class TestMatchingProperties:
             engine.arrive(Envelope(src=0, tag=7, size=1, kind="eager", payload=i))
         got = []
         for _ in payloads:
-            recv = RecvRequest(sim, 0, 7, 1 << 20)
+            recv = RecvRequest(sim, len(got), 0, 7, 1 << 20)
             env = engine.post_recv(recv)
             assert env is not None
             got.append(env.payload)

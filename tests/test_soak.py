@@ -3,7 +3,7 @@
 import pytest
 
 from repro.bench.pingpong import PingPongConfig, run_pingpong_benchmark
-from repro.bench.workloads import random_layered_dag
+from repro.workloads.generators import random_layered_dag
 from repro.config import scaled_platform
 from repro.runtime import ParsecContext
 from repro.units import KiB, MiB

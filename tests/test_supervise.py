@@ -132,7 +132,7 @@ class TestRunGuards:
         assert reporter.beats > 0  # the chained tick still fired
 
     def test_abort_emits_watchdog_event_and_snapshots_trail(self):
-        from repro.bench.workloads import random_layered_dag
+        from repro.workloads.generators import random_layered_dag
         from repro.config import scaled_platform
         from repro.runtime.context import ParsecContext
 

@@ -139,6 +139,10 @@ class TestParamValidation:
     def test_unknown_parameter_names_valid_set(self):
         with pytest.raises(ConfigError, match="does not accept"):
             get_workload("chain").build_config(width=9)
+        # The retired partitioned-engine keyword is an unknown parameter
+        # like any other, rejected when the experiment is built.
+        with pytest.raises(ConfigError, match="does not accept"):
+            repro.Experiment(workload="chain", partitions=2)
 
     def test_value_validation_is_configs_job(self):
         with pytest.raises(ConfigError, match="length"):
@@ -297,7 +301,7 @@ class _PluginConfig(DictCodec):
 
 
 def _plugin_graph(cfg, platform):
-    from repro.bench.workloads import chain
+    from repro.workloads.generators import chain
 
     return chain(cfg.length, cfg.num_nodes)
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench.workloads import (
+from repro.workloads.generators import (
     all_to_all_rounds,
     chain,
     fan_out,

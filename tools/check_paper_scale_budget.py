@@ -15,27 +15,15 @@ meet:
   diagnostic snapshot and salvaged partial stats — the smoke test for
   supervising a real paper-scale run (skip with ``--no-deadline-smoke``).
 
-With ``--partitions P`` (alongside ``--full``) the same point is also
-simulated under the partitioned PDES engine and gated per worker: the
-``--events-floor`` then applies to events/second *per partition worker*,
-the ``--wall-budget`` ceiling covers the partitioned wall clock, and the
-peak-RSS ceiling includes the worker children.  The measured wall-clock
-speedup over the serial run is recorded next to the ``--speedup-target``
-(the paper-point goal on a multi-core host; on a single-core host the
-measured value is honestly below 1 — the gate only *fails* when
-``--enforce-speedup`` is passed, so CI boxes without real parallelism
-record the number without lying about it).  The partitioned record also
-captures the sync-protocol telemetry — ``sync_windows``,
-``coordinator_roundtrips``, and the ``window_batch`` in effect (the
-engine's fixed :data:`~repro.sim.partition.WINDOW_BATCH`) — and the gate
-requires at least one coordinator progress beat.
-
 Results land in ``BENCH_scale.json`` next to the repo root (build seconds,
 peak RSS, tasks/flows, and — with ``--full`` — the end-to-end simulated
 run's wall time, kernel events/second, and makespan).  Records for other
 node counts already present in the output file are preserved under
 ``"points"``, so the checked-in file accumulates e.g. the 16-node and
-32-node paper points across invocations.  The default mode checks
+32-node paper points across invocations; a point's records this tool no
+longer measures (the removed partitioned engine's ``partitioned_run``)
+are carried over unchanged, so rewriting a point keeps its history.
+The default mode checks
 construction only, so it is cheap enough for the test suite; the
 ``--full`` run is the acceptance gate behind the EXPERIMENTS.md paper-scale
 runbook.
@@ -44,8 +32,7 @@ Run as::
 
     python tools/check_paper_scale_budget.py [--full] [--nodes 16]
         [--tile 2400] [--build-budget 60] [--rss-budget 4.0]
-        [--partitions 4] [--wall-budget 1800]
-        [--out PATH]
+        [--wall-budget 1800] [--out PATH]
 """
 
 from __future__ import annotations
@@ -62,6 +49,10 @@ from repro.hicma.dag import build_tlr_cholesky_graph, expected_task_count  # noq
 from repro.obs.progress import peak_rss_bytes  # noqa: E402
 
 PAPER_N = 360_000
+
+#: Record keys earlier versions of this tool wrote and it no longer
+#: measures; an existing output file's values are kept as history.
+RETIRED_KEYS = ("partitioned_run",)
 
 
 def build_check(nodes: int, tile: int) -> dict:
@@ -127,27 +118,8 @@ def deadline_smoke() -> "tuple[dict, list]":
     return doc, problems
 
 
-def _peak_rss_with_children() -> int:
-    """Peak RSS including reaped child processes (partition workers)."""
-    try:
-        import resource
-    except ImportError:  # pragma: no cover - non-POSIX
-        return peak_rss_bytes()
-    child = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
-    if sys.platform != "darwin":
-        child *= 1024
-    return max(peak_rss_bytes(), child)
-
-
-def full_run(nodes: int, tile: int, partitions=None) -> dict:
-    """Simulate the paper-scale point end to end; return run metrics.
-
-    With ``partitions`` set the run executes under the partitioned PDES
-    engine (bit-identical results), the peak-RSS figure includes the
-    worker child processes, and the record carries the sync-protocol
-    telemetry (``sync_windows``, ``coordinator_roundtrips``,
-    ``window_batch``).
-    """
+def full_run(nodes: int, tile: int) -> dict:
+    """Simulate the paper-scale point end to end; return run metrics."""
     from repro.bench.hicma_bench import HicmaConfig, run_hicma_benchmark
     from repro.config import expanse_platform
     from repro.obs.progress import ProgressReporter
@@ -157,11 +129,9 @@ def full_run(nodes: int, tile: int, partitions=None) -> dict:
     t0 = time.perf_counter()
     result = run_hicma_benchmark(
         "lci", cfg, expanse_platform(num_nodes=nodes), progress=reporter,
-        partitions=partitions,
     )
     wall = time.perf_counter() - t0
-    rss = _peak_rss_with_children() if partitions else peak_rss_bytes()
-    doc = {
+    return {
         "run_wall_seconds": round(wall, 1),
         "makespan_seconds": result.time_to_solution,
         "tasks_executed": result.tasks,
@@ -170,17 +140,9 @@ def full_run(nodes: int, tile: int, partitions=None) -> dict:
         "wire_bytes": result.wire_bytes,
         "events_total": result.events_processed,
         "events_per_second": round(result.events_processed / wall, 1),
-        "peak_rss_gib": round(rss / 2**30, 3),
+        "peak_rss_gib": round(peak_rss_bytes() / 2**30, 3),
         "progress_beats": reporter.beats,
     }
-    if partitions:
-        doc["partitions"] = int(partitions)
-        sync = getattr(result, "partition_sync", None)
-        if sync is not None:
-            doc["window_batch"] = sync["window_batch"]
-            doc["sync_windows"] = sync["sync_windows"]
-            doc["coordinator_roundtrips"] = sync["coordinator_roundtrips"]
-    return doc
 
 
 def main(argv=None) -> int:
@@ -193,22 +155,10 @@ def main(argv=None) -> int:
                     help="max seconds for build+freeze+validate")
     ap.add_argument("--rss-budget", type=float, default=4.0,
                     help="max peak RSS in GiB")
-    ap.add_argument("--events-floor", type=float, default=None,
-                    help="min kernel events/second for the --full run, "
-                         "per worker when partitioned (default: 50,000 "
-                         "serial; 1,000/worker partitioned — the "
-                         "conservative-sync engine is window-bound, not "
-                         "event-bound)")
-    ap.add_argument("--partitions", type=int, default=None, metavar="P",
-                    help="also run the --full point under the partitioned "
-                         "PDES engine with P workers and gate it")
+    ap.add_argument("--events-floor", type=float, default=50_000.0,
+                    help="min kernel events/second for the --full run")
     ap.add_argument("--wall-budget", type=float, default=1800.0,
                     help="max wall-clock seconds for a --full run")
-    ap.add_argument("--speedup-target", type=float, default=1.5,
-                    help="recorded partitioned-vs-serial speedup goal")
-    ap.add_argument("--enforce-speedup", action="store_true",
-                    help="fail when the measured speedup misses the target "
-                         "(only meaningful on a multi-core host)")
     ap.add_argument("--no-deadline-smoke", action="store_true",
                     help="skip the run-guard structured-abort smoke test")
     ap.add_argument("--out", default=str(
@@ -253,13 +203,10 @@ def main(argv=None) -> int:
                 f"full-run peak RSS {run['peak_rss_gib']:.2f} GiB "
                 f"(> {args.rss_budget:.1f} GiB budget)"
             )
-        serial_floor = (
-            args.events_floor if args.events_floor is not None else 50_000.0
-        )
-        if run["events_per_second"] < serial_floor:
+        if run["events_per_second"] < args.events_floor:
             problems.append(
                 f"kernel throughput {run['events_per_second']:,.0f} events/s "
-                f"(< {serial_floor:,.0f} floor)"
+                f"(< {args.events_floor:,.0f} floor)"
             )
         if run["run_wall_seconds"] > args.wall_budget:
             problems.append(
@@ -275,76 +222,20 @@ def main(argv=None) -> int:
             f"{run['peak_rss_gib']:.2f} GiB, {run['progress_beats']} progress beats"
         )
 
-        if args.partitions:
-            import os
-
-            prun = full_run(args.nodes, args.tile, partitions=args.partitions)
-            speedup = run["run_wall_seconds"] / prun["run_wall_seconds"]
-            prun["speedup_vs_serial"] = round(speedup, 3)
-            prun["speedup_target"] = args.speedup_target
-            prun["host_cpus"] = os.cpu_count()
-            doc["partitioned_run"] = prun
-            if prun["makespan_seconds"] != run["makespan_seconds"]:
-                problems.append(
-                    f"partitioned makespan {prun['makespan_seconds']!r} != "
-                    f"serial {run['makespan_seconds']!r} (bit-identity broken)"
-                )
-            if prun["progress_beats"] < 1:
-                problems.append(
-                    "partitioned run recorded 0 progress beats (the "
-                    "coordinator reporter must emit at least the "
-                    "end-of-run beat)"
-                )
-            if prun["peak_rss_gib"] > args.rss_budget:
-                problems.append(
-                    f"partitioned peak RSS {prun['peak_rss_gib']:.2f} GiB "
-                    f"(> {args.rss_budget:.1f} GiB budget)"
-                )
-            if prun["run_wall_seconds"] > args.wall_budget:
-                problems.append(
-                    f"partitioned wall {prun['run_wall_seconds']:.0f}s "
-                    f"(> {args.wall_budget:.0f}s budget)"
-                )
-            per_worker = prun["events_per_second"] / args.partitions
-            worker_floor = (
-                args.events_floor if args.events_floor is not None
-                else 1_000.0
-            )
-            if per_worker < worker_floor:
-                problems.append(
-                    f"partitioned throughput {per_worker:,.0f} events/s "
-                    f"per worker (< {worker_floor:,.0f} floor)"
-                )
-            if args.enforce_speedup and speedup < args.speedup_target:
-                problems.append(
-                    f"partitioned speedup {speedup:.2f}x "
-                    f"(< {args.speedup_target:.2f}x target)"
-                )
-            print(
-                f"partitioned run (P={args.partitions}, "
-                f"window_batch={prun.get('window_batch', '?')}): makespan "
-                f"{prun['makespan_seconds']:.1f}s (bit-identical) in "
-                f"{prun['run_wall_seconds']:.0f}s wall "
-                f"({per_worker:,.0f} ev/s per worker, "
-                f"{prun.get('sync_windows', 0):,} windows over "
-                f"{prun.get('coordinator_roundtrips', 0):,} coordinator "
-                f"round-trips), peak RSS "
-                f"{prun['peak_rss_gib']:.2f} GiB -> speedup "
-                f"{speedup:.2f}x vs serial (target "
-                f"{args.speedup_target:.1f}x, {prun['host_cpus']} host cpus)"
-            )
-
     # Accumulate per-node-count records: keep every other node count's
     # entry from an existing output file so the checked-in document can
-    # hold the 16- and 32-node paper points side by side.
+    # hold the 16- and 32-node paper points side by side, and keep the
+    # retired records of this one.
     points = {}
     try:
         with open(args.out) as fp:
             points = json.load(fp).get("points", {})
     except (OSError, ValueError):
         pass
+    previous = points.get(str(args.nodes), {})
     points[str(args.nodes)] = {
-        k: v for k, v in doc.items() if k != "deadline_smoke"
+        **{k: previous[k] for k in RETIRED_KEYS if k in previous},
+        **{k: v for k, v in doc.items() if k != "deadline_smoke"},
     }
     doc["points"] = points
 
