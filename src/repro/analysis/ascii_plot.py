@@ -6,7 +6,7 @@ are inspectable straight from the pytest-benchmark output.
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 __all__ = ["ascii_chart", "ascii_table"]
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from typing import Any, IO, Optional, Union
+from typing import Any, IO, Union
 
 from repro._version import __version__
 

@@ -10,8 +10,6 @@ regenerates every table with zero simulations.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.analysis.ascii_plot import ascii_table
 from repro.errors import SweepError
 from repro.sweep.engine import PointView, SweepOutcome

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field, replace
 
 from repro.codec import DictCodec
 from repro.errors import ConfigError
-from repro.units import KiB, MiB, US, NS, bytes_per_s_from_gbit
+from repro.units import KiB, US, NS, bytes_per_s_from_gbit
 
 __all__ = [
     "NetworkConfig",

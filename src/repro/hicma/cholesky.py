@@ -16,12 +16,9 @@ import numpy as np
 from repro.errors import HicmaError
 from repro.hicma.kernels import (
     gemm_dense,
-    gemm_lr,
     potrf,
     syrk_dense,
-    syrk_lr,
     trsm_dense,
-    trsm_lr,
 )
 from repro.hicma.lowrank import LowRankTile
 from repro.hicma.tlr import TLRMatrix

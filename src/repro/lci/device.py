@@ -125,8 +125,11 @@ class LciDevice:
         self._waiters: list[Event] = []
         # Back-pressure / pool-occupancy instruments (§5.2): every
         # LCI_ERR_RETRY is counted per operation class, and the TX/RX packet
-        # pools are sampled on each allocation.
+        # pools are sampled on each allocation (only with an enabled bus:
+        # the sample is computed before the call, so the null bus's no-op
+        # histogram would still pay for it).
         obs = world.obs
+        self._obs_on = obs.enabled
         self._c_retry_sendb = obs.counter("lci.retry.sendb", node)
         self._c_retry_sendd = obs.counter("lci.retry.sendd", node)
         self._c_retry_putd = obs.counter("lci.retry.putd", node)
@@ -185,7 +188,10 @@ class LciDevice:
         self._notify()
 
     def _notify(self) -> None:
-        waiters, self._waiters = self._waiters, []
+        waiters = self._waiters
+        if not waiters:
+            return
+        self._waiters = []
         for w in waiters:
             if isinstance(w, Process):
                 w.wake()
@@ -248,7 +254,8 @@ class LciDevice:
             self._c_retry_sendb.inc()
             return LCI_ERR_RETRY
         self.tx_packets_free -= 1
-        self._h_tx_pool.observe(self.costs.packet_pool_size - self.tx_packets_free)
+        if self._obs_on:
+            self._h_tx_pool.observe(self.costs.packet_pool_size - self.tx_packets_free)
         yield self.costs.buffered_send + size * self.costs.copy_per_byte
         msg = self._send_am_wire(dst, tag, size, data, proto="buffered")
         # The packet is held until the NIC has read it (tail departure).
@@ -258,19 +265,19 @@ class LciDevice:
 
     def _tx_packet_done(self, dst: int, tag: int, size: int, comp: Completion, user_ctx: Any) -> None:
         self.tx_packets_free += 1
-        self._signal(comp, CompletionRecord("sendb", dst, tag, size, user_ctx))
+        if comp is not None:
+            self._signal(comp, CompletionRecord("sendb", dst, tag, size, user_ctx))
         self._notify()
 
     def _send_am_wire(self, dst: int, tag: int, size: int, data: Any, proto: str) -> WireMessage:
+        wire_size = size + _HEADER
         msg = WireMessage(
-            src=self.node,
-            dst=dst,
-            size=size + _HEADER,
-            msg_class=MessageClass.CONTROL
-            if size + _HEADER <= 4096
-            else MessageClass.DATA,
-            channel="lci",
-            payload={"kind": "am", "proto": proto, "tag": tag, "size": size, "data": data},
+            self.node,
+            dst,
+            wire_size,
+            MessageClass.CONTROL if wire_size <= 4096 else MessageClass.DATA,
+            {"kind": "am", "proto": proto, "tag": tag, "size": size, "data": data},
+            "lci",
         )
         self.world.fabric.send(msg)
         return msg
@@ -292,12 +299,12 @@ class LciDevice:
         yield self.costs.direct_post
         self.world.fabric.send(
             WireMessage(
-                src=self.node,
-                dst=dst,
-                size=_CTRL,
-                msg_class=MessageClass.CONTROL,
-                channel="lci",
-                payload={"kind": "rts", "tag": tag, "size": size, "sd": op.op_id},
+                self.node,
+                dst,
+                _CTRL,
+                MessageClass.CONTROL,
+                {"kind": "rts", "tag": tag, "size": size, "sd": op.op_id},
+                "lci",
             )
         )
         return LCI_OK
@@ -345,12 +352,7 @@ class LciDevice:
             payload["_fin"] = (op.op_id, fabric.base_latency(dst, self.node))
         deliver = fabric.send(
             WireMessage(
-                src=self.node,
-                dst=dst,
-                size=size + _HEADER,
-                msg_class=MessageClass.DATA,
-                channel="lci",
-                payload=payload,
+                self.node, dst, size + _HEADER, MessageClass.DATA, payload, "lci"
             )
         )
         if not self.faults.enabled and not deferred:
@@ -410,11 +412,12 @@ class LciDevice:
         while self._rx_am and self.rx_packets_free > 0:
             msg = self._rx_am.popleft()
             self.rx_packets_free -= 1
-            self._h_rx_pool.observe(self.costs.packet_pool_size - self.rx_packets_free)
+            if self._obs_on:
+                self._h_rx_pool.observe(self.costs.packet_pool_size - self.rx_packets_free)
             yield self.costs.completion_drain + self.costs.refill_recv
             p = msg.payload
             record = CompletionRecord(
-                "am", msg.src, p["tag"], p["size"], payload=p["data"]
+                "am", msg.src, p["tag"], p["size"], None, p["data"]
             )
             if self.am_handler is None:
                 raise LciError(f"node {self.node}: active message with no handler")
@@ -483,12 +486,8 @@ class LciDevice:
                     op.op_id, fabric.base_latency(op.peer, self.node)
                 )
             data_msg = WireMessage(
-                src=self.node,
-                dst=op.peer,
-                size=op.size + _HEADER,
-                msg_class=MessageClass.DATA,
-                channel="lci",
-                payload=data_payload,
+                self.node, op.peer, op.size + _HEADER, MessageClass.DATA,
+                data_payload, "lci",
             )
             deliver = fabric.send(data_msg)
             if not self.faults.enabled and not deferred:
@@ -516,12 +515,12 @@ class LciDevice:
         op.size = rts_payload["size"]
         self.world.fabric.send(
             WireMessage(
-                src=self.node,
-                dst=src,
-                size=_CTRL,
-                msg_class=MessageClass.CONTROL,
-                channel="lci",
-                payload={"kind": "rtr", "sd": rts_payload["sd"], "rd": op.op_id},
+                self.node,
+                src,
+                _CTRL,
+                MessageClass.CONTROL,
+                {"kind": "rtr", "sd": rts_payload["sd"], "rd": op.op_id},
+                "lci",
             )
         )
 

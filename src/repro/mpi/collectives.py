@@ -17,7 +17,7 @@ contexts in the model — the caller provides disjoint tag ranges).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, Optional
+from typing import Any, Callable, Generator
 
 from repro.errors import MpiError
 from repro.mpi.world import MpiRank

@@ -40,7 +40,7 @@ from repro.mpi.requests import (
 )
 from repro.network.fabric import Fabric
 from repro.network.message import MessageClass, WireMessage
-from repro.obs.bus import NULL_BUS, ObsBus
+from repro.obs.bus import ObsBus
 from repro.sim.core import Event, Process, Simulator
 from repro.units import KiB
 
@@ -227,18 +227,18 @@ class MpiRank:
                 yield self.costs.eager_send + size * self.costs.eager_copy_per_byte
                 self.world.fabric.send(
                     WireMessage(
-                        src=self.rank,
-                        dst=dst,
-                        size=size + _HEADER,
-                        msg_class=_wire_class(size + _HEADER),
-                        channel="mpi",
-                        payload={
+                        self.rank,
+                        dst,
+                        size + _HEADER,
+                        _wire_class(size + _HEADER),
+                        {
                             "kind": "eager",
                             "tag": tag,
                             "size": size,
                             "data": payload,
                             "sreq": sreq.req_id,
                         },
+                        "mpi",
                     )
                 )
                 # Buffer copied out — locally complete immediately.
@@ -254,17 +254,17 @@ class MpiRank:
                 yield self.costs.post_request
                 self.world.fabric.send(
                     WireMessage(
-                        src=self.rank,
-                        dst=dst,
-                        size=_CTRL,
-                        msg_class=MessageClass.CONTROL,
-                        channel="mpi",
-                        payload={
+                        self.rank,
+                        dst,
+                        _CTRL,
+                        MessageClass.CONTROL,
+                        {
                             "kind": "rts",
                             "tag": tag,
                             "size": size,
                             "sreq": sreq.req_id,
                         },
+                        "mpi",
                     )
                 )
             return sreq
@@ -397,12 +397,8 @@ class MpiRank:
                 self._pending_fin[req.req_id] = ("rma", req)
             deliver = fabric.send(
                 WireMessage(
-                    src=self.rank,
-                    dst=dst,
-                    size=size + _HEADER,
-                    msg_class=MessageClass.DATA,
-                    channel="mpi",
-                    payload=wire_payload,
+                    self.rank, dst, size + _HEADER, MessageClass.DATA,
+                    wire_payload, "mpi",
                 )
             )
             if not self.faults.enabled and not deferred:
@@ -507,12 +503,8 @@ class MpiRank:
                 self._pending_fin[sreq.req_id] = ("send", sreq)
             deliver = fabric.send(
                 WireMessage(
-                    src=self.rank,
-                    dst=sreq.dst,
-                    size=sreq.size + _HEADER,
-                    msg_class=MessageClass.DATA,
-                    channel="mpi",
-                    payload=rdata_payload,
+                    self.rank, sreq.dst, sreq.size + _HEADER, MessageClass.DATA,
+                    rdata_payload, "mpi",
                 )
             )
             if not deferred:
@@ -556,12 +548,12 @@ class MpiRank:
             self._rndv_recvs[rreq.req_id] = rreq
             self.world.fabric.send(
                 WireMessage(
-                    src=self.rank,
-                    dst=env.src,
-                    size=_CTRL,
-                    msg_class=MessageClass.CONTROL,
-                    channel="mpi",
-                    payload={"kind": "cts", "sreq": env.sreq_id, "rreq": rreq.req_id},
+                    self.rank,
+                    env.src,
+                    _CTRL,
+                    MessageClass.CONTROL,
+                    {"kind": "cts", "sreq": env.sreq_id, "rreq": rreq.req_id},
+                    "mpi",
                 )
             )
 

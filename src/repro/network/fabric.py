@@ -18,7 +18,7 @@ from repro.faults.engine import NULL_FAULTS
 from repro.network.message import WireMessage
 from repro.network.nic import NicState
 from repro.network.topology import FatTreeTopology
-from repro.obs.bus import NULL_BUS, ObsBus
+from repro.obs.bus import ObsBus
 from repro.sim.core import Simulator
 from repro.units import US
 
@@ -165,22 +165,26 @@ class Fabric:
         delivery-driven ``_fin`` payload hint for source-side completions
         instead of the return value.
         """
-        self._check_node(msg.src)
-        self._check_node(msg.dst)
+        src = msg.src
+        dst = msg.dst
+        n = self.num_nodes
+        if not (0 <= src < n and 0 <= dst < n):
+            self._check_node(src)
+            self._check_node(dst)
         col = self._hcols.get(msg.channel)
-        handler = col[msg.dst] if col is not None else None
+        handler = col[dst] if col is not None else None
         if handler is None:
             raise NetworkError(
-                f"no handler for channel {msg.channel!r} at node {msg.dst}"
+                f"no handler for channel {msg.channel!r} at node {dst}"
             )
         now = self.sim.now
         msg.inject_time = now
-        if self._rel is not None and msg.src != msg.dst:
+        if self._rel is not None and src != dst:
             # Fault-injection mode: the reliable transport owns stamping,
             # delivery scheduling, and retransmission for wire traffic.
             # Loopback never touches the wire and stays on the fast path.
             return self._rel.send(msg, handler)
-        if msg.src == msg.dst:
+        if src == dst:
             deliver = now + self.LOOPBACK_LATENCY
             msg.depart_time = now
             msg.deliver_time = deliver
@@ -188,15 +192,16 @@ class Fabric:
             # Schedule the handler itself — no trampoline per delivery.
             self.sim.call_later(deliver - now, handler, msg)
             return deliver
-        depart = self.nics[msg.src].inject(now, msg.size, msg.msg_class)
-        arrival = depart + self.base_latency(msg.src, msg.dst)
+        depart = self.nics[src].inject(now, msg.size, msg.msg_class)
+        arrival = depart + self.base_latency(src, dst)
         msg.depart_time = depart
         msg.deliver_time = math.nan
-        seq = self._src_seq[msg.src]
-        self._src_seq[msg.src] = seq + 1
-        if not self._pending_wire:
+        seq = self._src_seq[src]
+        self._src_seq[src] = seq + 1
+        pending = self._pending_wire
+        if not pending:
             self.sim.at_epoch_end(self._flush_epoch)
-        self._pending_wire.append((msg.src, seq, msg, arrival, handler))
+        pending.append((src, seq, msg, arrival, handler))
         return math.nan
 
     def _flush_epoch(self) -> None:
@@ -217,7 +222,8 @@ class Fabric:
         """
         buf = self._pending_wire
         self._pending_wire = []
-        buf.sort(key=_WIRE_KEY)
+        if len(buf) > 1:
+            buf.sort(key=_WIRE_KEY)
         sim = self.sim
         nics = self.nics
         now = sim.now

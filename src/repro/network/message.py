@@ -20,13 +20,16 @@ class MessageClass(enum.IntEnum):
     DATA = 1
 
 
-@dataclass
+@dataclass(slots=True, init=False)
 class WireMessage:
     """One message on the wire.
 
     ``payload`` is opaque to the network layer — the communication libraries
     put their protocol headers/bodies there.  ``size`` is what the wire
     charges (headers included), independent of the Python payload object.
+
+    Self-sends (``src == dst``) are legal loopback messages; they never
+    touch the wire and the fabric special-cases them.
     """
 
     src: int
@@ -46,10 +49,33 @@ class WireMessage:
     seq: int = -1
     checksum: int = 0
 
-    def __post_init__(self) -> None:
-        if self.size < 0:
-            raise ValueError(f"negative message size: {self.size}")
-        if self.src == self.dst:
-            # Self-sends are legal (loopback) but never touch the wire;
-            # the fabric special-cases them.
-            pass
+    # Hand-written so the per-message constructor is one plain call with no
+    # ``__post_init__`` hop; it takes every field by keyword as well, which
+    # ``dataclasses.replace`` relies on.
+    def __init__(
+        self,
+        src: int,
+        dst: int,
+        size: int,
+        msg_class: MessageClass,
+        payload: Any = None,
+        channel: str = "",
+        inject_time: float = -1.0,
+        depart_time: float = -1.0,
+        deliver_time: float = -1.0,
+        seq: int = -1,
+        checksum: int = 0,
+    ) -> None:
+        if size < 0:
+            raise ValueError(f"negative message size: {size}")
+        self.src = src
+        self.dst = dst
+        self.size = size
+        self.msg_class = msg_class
+        self.payload = payload
+        self.channel = channel
+        self.inject_time = inject_time
+        self.depart_time = depart_time
+        self.deliver_time = deliver_time
+        self.seq = seq
+        self.checksum = checksum

@@ -32,6 +32,8 @@ class NicState:
 
     __slots__ = (
         "cfg",
+        "_bandwidth",
+        "_gap",
         "tx_data_busy",
         "tx_ctrl_busy",
         "rx_data_busy",
@@ -44,6 +46,9 @@ class NicState:
 
     def __init__(self, cfg: NetworkConfig):
         self.cfg = cfg
+        # Cached for the per-message paths (the config is frozen).
+        self._bandwidth = cfg.bandwidth
+        self._gap = cfg.message_gap
         self.tx_data_busy = 0.0
         self.tx_ctrl_busy = 0.0
         self.rx_data_busy = 0.0
@@ -72,7 +77,10 @@ class NicState:
 
     def inject(self, now: float, size: int, msg_class: MessageClass) -> float:
         """Charge a transmit; returns the time the tail leaves the NIC."""
-        ser = self.serialization(size)
+        # serialization(size), inlined: this runs once per wire send.
+        ser = size / self._bandwidth
+        if self._gap > ser:
+            ser = self._gap
         if msg_class == MessageClass.CONTROL:
             depart = max(now, self.tx_ctrl_busy) + ser
             self.tx_ctrl_busy = depart
@@ -91,7 +99,9 @@ class NicState:
         ``arrival`` is when the message tail would reach the NIC with no
         receiver contention; delivery can only be later.
         """
-        ser = self.serialization(size)
+        ser = size / self._bandwidth
+        if self._gap > ser:
+            ser = self._gap
         if msg_class == MessageClass.CONTROL:
             deliver = max(arrival, self.rx_ctrl_busy + ser)
             self.rx_ctrl_busy = deliver

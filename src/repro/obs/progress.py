@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import sys
 import time
-from typing import Optional
 
 __all__ = ["ProgressReporter", "peak_rss_bytes"]
 

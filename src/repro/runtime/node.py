@@ -20,7 +20,7 @@ Implements the execution semantics of §4.1/§4.3 and Fig. 1:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Generator, Optional
+from typing import TYPE_CHECKING, Generator, Optional
 
 from repro.errors import RuntimeBackendError
 from repro.runtime.comm_engine import TAG_ACTIVATE, TAG_GETDATA, TAG_PUT_COMPLETE
@@ -226,12 +226,27 @@ class NodeRuntime:
         graph = self.graph
         rank = self.rank
         t_node = self._t_node
-        consumers = graph.consumers_of(fid)
-        local = [tid for tid in consumers if t_node[tid] == rank]
+        t_prio = self._t_prio
+        # One pass over the consumers: the local ones, the remote consumer
+        # nodes, and the highest consumer priority (what ``max`` would give:
+        # the first of equal maxima, 0.0 when there are no consumers).
+        local = []
+        remote = set()
+        prio = None
+        for tid in graph.consumers_of(fid):
+            node = t_node[tid]
+            if node == rank:
+                local.append(tid)
+            else:
+                remote.add(node)
+            p = t_prio[tid]
+            if prio is None or p > prio:
+                prio = p
+        if prio is None:
+            prio = 0.0
         if initial:
             # Producer: build the multicast tree over remote consumer nodes.
-            remote = sorted({t_node[tid] for tid in consumers} - {rank})
-            children = binomial_tree([rank] + remote)[1] if remote else ()
+            children = binomial_tree([rank] + sorted(remote))[1] if remote else ()
             state = None
         else:
             state = self.flow_states.get(fid)
@@ -252,9 +267,6 @@ class NodeRuntime:
         if not children:
             return
         self.serves_remaining[fid] = len(children)
-        prio = max(
-            (self._t_prio[tid] for tid in consumers), default=0.0
-        )
         flow_size = graph.flow_size(fid)
         for child in children:
             # Latency stamps are taken when the activation is handed to the

@@ -16,7 +16,7 @@ in-process.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Optional
 
 from repro.config import (
     PlatformConfig,

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import dataclasses
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from repro.errors import ConfigError

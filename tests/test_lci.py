@@ -282,6 +282,70 @@ class TestCompletionMechanisms:
         out = sim.run_process(main())
         assert len(out) == 1 and out[0].op == "sendb"
 
+    @pytest.mark.parametrize("with_cq", [False, True])
+    def test_sendb_builds_a_record_only_for_a_completion_target(self, monkeypatch, with_cq):
+        import repro.lci.device as device_mod
+
+        built = []
+
+        class CountingRecord(CompletionRecord):
+            __slots__ = ()
+
+            def __init__(self, op, *args, **kwargs):
+                built.append(op)
+                super().__init__(op, *args, **kwargs)
+
+        monkeypatch.setattr(device_mod, "CompletionRecord", CountingRecord)
+        sim, world = make_world()
+        d0, d1 = world.devices
+        d1.am_handler = lambda rec: d1.free_rx_packet()
+        cq = CompletionQueue(sim) if with_cq else None
+
+        def main():
+            status = yield from d0.sendb(dst=1, tag=5, size=1 * KiB, comp=cq, user_ctx="u")
+            assert status == LCI_OK
+            yield sim.timeout(1e-3)
+
+        sim.run_process(main())
+        assert d0.tx_packets_free == d0.costs.packet_pool_size
+        if with_cq:
+            rec = cq.try_pop()
+            assert (rec.op, rec.peer, rec.tag, rec.size, rec.user_ctx) == ("sendb", 1, 5, 1 * KiB, "u")
+            assert built == ["sendb"]
+        else:
+            assert built == []
+
+    def test_pool_histograms_sample_only_with_an_enabled_bus(self):
+        from repro.obs.bus import ObsBus
+
+        bus = ObsBus()
+        sim = Simulator(obs=bus)
+        world = LciWorld(sim, Fabric(sim, 2))
+        d0, d1 = world.devices
+        d1.am_handler = lambda rec: d1.free_rx_packet()
+
+        def main():
+            yield from d0.sendb(dst=1, tag=0, size=1 * KiB)
+            yield sim.timeout(1e-3)
+            yield from d1.progress()
+
+        sim.run_process(main())
+        assert bus.histogram("lci.tx_pool_used", 0).count == 1
+        assert bus.histogram("lci.rx_pool_used", 1).count == 1
+
+    def test_record_fields_and_equality(self):
+        rec = CompletionRecord("recvd", 3, 4, 5, "ctx", payload="data")
+        assert (rec.op, rec.peer, rec.tag, rec.size, rec.user_ctx, rec.payload) == (
+            "recvd", 3, 4, 5, "ctx", "data"
+        )
+        assert not hasattr(rec, "__dict__")
+        assert rec == CompletionRecord("recvd", 3, 4, 5, "ctx", "data")
+        assert rec != CompletionRecord("recvd", 3, 4, 5, "ctx")
+        assert hash(rec) == hash(CompletionRecord("recvd", 3, 4, 5, "ctx", "data"))
+        bare = CompletionRecord("am", 0, 1, 2)
+        assert (bare.user_ctx, bare.payload) == (None, None)
+        assert "op='am'" in repr(bare)
+
     def test_synchronizer_records_value(self):
         sim = Simulator()
         sync = Synchronizer(sim)

@@ -1,5 +1,7 @@
 """Unit tests for the network substrate (topology, NIC, fabric, NetPIPE)."""
 
+import dataclasses
+
 import pytest
 
 from repro.config import NetworkConfig
@@ -163,6 +165,8 @@ class TestFabric:
     def test_negative_size_rejected(self):
         with pytest.raises(ValueError):
             WireMessage(src=0, dst=1, size=-1, msg_class=MessageClass.DATA)
+        with pytest.raises(ValueError, match="negative message size"):
+            WireMessage(0, 1, -1, MessageClass.DATA)
 
     def test_total_bytes(self):
         sim = Simulator()
@@ -172,6 +176,35 @@ class TestFabric:
         fabric.send(WireMessage(src=2, dst=1, size=50, msg_class=MessageClass.DATA, channel="t"))
         sim.run()
         assert fabric.total_bytes() == 150
+
+
+class TestWireMessage:
+    def test_slotted(self):
+        msg = WireMessage(0, 1, 64, MessageClass.CONTROL)
+        assert not hasattr(msg, "__dict__")
+        with pytest.raises(AttributeError):
+            msg.extra = 1
+
+    def test_positional_equals_keyword(self):
+        by_pos = WireMessage(0, 1, 64, MessageClass.DATA, {"k": 1}, "lci", 1.0, 2.0, 3.0, 4, 5)
+        by_kw = WireMessage(
+            src=0, dst=1, size=64, msg_class=MessageClass.DATA, payload={"k": 1},
+            channel="lci", inject_time=1.0, depart_time=2.0, deliver_time=3.0,
+            seq=4, checksum=5,
+        )
+        assert by_pos == by_kw
+        assert dataclasses.astuple(by_pos) == dataclasses.astuple(by_kw)
+        bare = WireMessage(0, 1, 64, MessageClass.DATA)
+        assert (bare.payload, bare.channel, bare.seq, bare.checksum) == (None, "", -1, 0)
+        assert (bare.inject_time, bare.depart_time, bare.deliver_time) == (-1.0, -1.0, -1.0)
+
+    def test_replace_round_trip(self):
+        msg = WireMessage(0, 1, 64, MessageClass.DATA, "p", "t", seq=7)
+        moved = dataclasses.replace(msg, checksum=9)
+        assert moved is not msg and moved.checksum == 9
+        assert dataclasses.replace(moved, checksum=0) == msg
+        with pytest.raises(ValueError):
+            dataclasses.replace(msg, size=-1)
 
 
 class TestNetpipe:

@@ -5,6 +5,7 @@ import pytest
 from repro.config import scaled_platform
 from repro.errors import RuntimeBackendError
 from repro.runtime import ParsecContext, TaskGraph
+from repro.runtime.node import binomial_tree
 from repro.units import KiB, MiB
 
 BACKENDS = ["mpi", "lci"]
@@ -231,3 +232,43 @@ class TestStressPressure:
     def test_unknown_backend_rejected(self):
         with pytest.raises(RuntimeBackendError, match="unknown backend"):
             ParsecContext(platform(), backend="gasnet")
+
+
+class TestReleaseFlow:
+    def test_producer_activates_binomial_children_with_max_priority(self):
+        """Releasing a flow at its producer satisfies the local consumers
+        and queues one ACTIVATE per binomial-tree child over the sorted
+        remote consumer nodes, carrying the highest consumer priority."""
+        g = TaskGraph()
+        producer = g.add_task(node=0, duration=1e-6)
+        f = g.add_flow(producer, 4 * KiB)
+        local = [
+            g.add_task(node=0, duration=1e-6, priority=p, inputs=[f]) for p in (1.0, 2.0)
+        ]
+        # Remote consumers in unsorted node order, node 3 twice; the top
+        # priority sits on a remote consumer, not the first one.  A set of
+        # {8, 2, 3} iterates 8 first, so the tree only comes out right if
+        # the remote nodes are sorted.
+        for node, prio in ((8, 0.5), (2, 3.0), (3, 7.5), (3, -1.0)):
+            g.add_task(node=node, duration=1e-6, priority=prio, inputs=[f])
+        ctx = ParsecContext(platform(nodes=9), backend="lci")
+        node0 = ctx.nodes[0]
+        node0.load(g, 1)
+        for _ in node0._release_flow(f, initial=True):
+            pass
+        assert all(node0.input_remaining[tid] == 0 for tid in local)
+        sent = []
+        while True:
+            ok, cmd = node0.cmd_q.try_pop()
+            if not ok:
+                break
+            sent.append(cmd)
+        children = binomial_tree([0, 2, 3, 8])[1]
+        assert [(dst, ad["sub"]) for _kind, dst, ad in sent] == [
+            (child[0], child) for child in children
+        ]
+        assert [dst for _kind, dst, _ad in sent] == [2, 3]
+        assert {ad["prio"] for _kind, _dst, ad in sent} == {7.5}
+        assert all(ad["flow"] == f and ad["holder"] == 0 for _k, _d, ad in sent)
+        assert node0.serves_remaining[f] == 2
+        assert node0.flow_refs[f] == 2  # the two local refs already dropped

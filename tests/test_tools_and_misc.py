@@ -1,8 +1,10 @@
 """Tests for the docs generator and assorted uncovered branches."""
 
+import json
+import pathlib
+import shutil
 import subprocess
 import sys
-import pathlib
 
 import numpy as np
 import pytest
@@ -88,6 +90,14 @@ class TestRepoCheckers:
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
 
+    def test_no_unused_imports(self):
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "tools" / "check_unused_imports.py")],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+
     def test_docs_in_sync(self):
         proc = subprocess.run(
             [sys.executable, str(ROOT / "tools" / "check_docs.py")],
@@ -124,15 +134,21 @@ class TestRepoCheckers:
     def test_paper_scale_budget(self, tmp_path):
         # Build-only mode (~5 s): asserts the NT=150 graph build/memory
         # budgets; --out keeps the checked-in BENCH_scale.json untouched.
+        # The output starts as a copy of it: a build-only rerun of the
+        # 16-node point must keep that point's earlier full_run record.
+        out = tmp_path / "BENCH_scale.json"
+        shutil.copyfile(ROOT / "BENCH_scale.json", out)
+        before = json.loads(out.read_text())["points"]["16"]["full_run"]
         proc = subprocess.run(
             [sys.executable,
              str(ROOT / "tools" / "check_paper_scale_budget.py"),
-             "--out", str(tmp_path / "BENCH_scale.json")],
+             "--out", str(out)],
             capture_output=True,
             text=True,
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "paper-scale budgets OK" in proc.stdout
+        assert json.loads(out.read_text())["points"]["16"]["full_run"] == before
 
     def test_explorer_finds_planted_bugs(self):
         # The mutation smoke test: the explorer must catch both known-bad

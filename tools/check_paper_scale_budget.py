@@ -20,9 +20,11 @@ peak RSS, tasks/flows, and — with ``--full`` — the end-to-end simulated
 run's wall time, kernel events/second, and makespan).  Records for other
 node counts already present in the output file are preserved under
 ``"points"``, so the checked-in file accumulates e.g. the 16-node and
-32-node paper points across invocations; a point's records this tool no
-longer measures (the removed partitioned engine's ``partitioned_run``)
-are carried over unchanged, so rewriting a point keeps its history.
+32-node paper points across invocations.  A rerun merges its keys over
+its node count's existing record: keys it did not measure (a build-only
+run's missing ``full_run``, the removed partitioned engine's
+``partitioned_run``) are carried over unchanged, so rewriting a point
+keeps its history.
 The default mode checks
 construction only, so it is cheap enough for the test suite; the
 ``--full`` run is the acceptance gate behind the EXPERIMENTS.md paper-scale
@@ -49,11 +51,6 @@ from repro.hicma.dag import build_tlr_cholesky_graph, expected_task_count  # noq
 from repro.obs.progress import peak_rss_bytes  # noqa: E402
 
 PAPER_N = 360_000
-
-#: Record keys earlier versions of this tool wrote and it no longer
-#: measures; an existing output file's values are kept as history.
-RETIRED_KEYS = ("partitioned_run",)
-
 
 def build_check(nodes: int, tile: int) -> dict:
     """Build + freeze + validate the paper-scale graph; return metrics."""
@@ -224,17 +221,16 @@ def main(argv=None) -> int:
 
     # Accumulate per-node-count records: keep every other node count's
     # entry from an existing output file so the checked-in document can
-    # hold the 16- and 32-node paper points side by side, and keep the
-    # retired records of this one.
+    # hold the 16- and 32-node paper points side by side, and merge this
+    # run's keys over this one's, so what it did not measure survives.
     points = {}
     try:
         with open(args.out) as fp:
             points = json.load(fp).get("points", {})
     except (OSError, ValueError):
         pass
-    previous = points.get(str(args.nodes), {})
     points[str(args.nodes)] = {
-        **{k: previous[k] for k in RETIRED_KEYS if k in previous},
+        **points.get(str(args.nodes), {}),
         **{k: v for k, v in doc.items() if k != "deadline_smoke"},
     }
     doc["points"] = points
